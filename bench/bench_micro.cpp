@@ -165,6 +165,7 @@ void BM_DecisionChoose(benchmark::State& state) {
 }
 BENCHMARK(BM_DecisionChoose);
 
+// A warm key: after the first iteration the mapping comes from the table.
 void BM_ProviderSelectReplicas(benchmark::State& state) {
   auto& testbed = *micro_world().testbed;
   auto& provider = testbed.provider(0);
@@ -174,6 +175,37 @@ void BM_ProviderSelectReplicas(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProviderSelectReplicas);
+
+// Cold keys: every iteration selects for a plan /24 the provider has not
+// seen, so it times the cluster ranking itself. Walks every allocated /24
+// of the world, starting over on an empty table after each pass.
+void BM_ProviderSelectReplicasColdKey(benchmark::State& state) {
+  auto& testbed = *micro_world().testbed;
+  auto& world = testbed.world();
+  const auto& warm = testbed.provider(0);
+  std::vector<net::Prefix> plan;
+  for (std::size_t v = 0; v < world.graph().node_count(); ++v) {
+    const std::uint32_t block = world.block_of(v).network().to_uint();
+    for (std::uint32_t third = 0; third < 256; ++third) {
+      const net::Prefix subnet(net::Ipv4Addr(block | (third << 8)), 24);
+      if (world.is_allocated(subnet)) plan.push_back(subnet);
+    }
+  }
+  std::unique_ptr<cdn::CdnProvider> provider;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i % plan.size() == 0) {
+      state.PauseTiming();
+      provider = std::make_unique<cdn::CdnProvider>(warm.profile(), &world, warm.as_index(),
+                                                    warm.clusters(), warm.vips());
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(provider->select_replicas(plan[i % plan.size()]));
+    ++i;
+  }
+  state.SetLabel(std::to_string(plan.size()) + " plan /24s");
+}
+BENCHMARK(BM_ProviderSelectReplicasColdKey);
 
 }  // namespace
 

@@ -10,18 +10,11 @@ namespace drongo::cdn {
 CdnAuthoritative::CdnAuthoritative(CdnProvider* provider, std::uint32_t ttl_seconds)
     : provider_(provider), ttl_(ttl_seconds) {
   if (provider_ == nullptr) throw net::InvalidArgument("null CdnProvider");
-}
-
-dns::DnsName CdnAuthoritative::zone() const {
-  return dns::DnsName::must_parse(provider_->profile().zone);
-}
-
-std::vector<dns::DnsName> CdnAuthoritative::content_names() const {
-  std::vector<dns::DnsName> names;
-  for (const auto& label : provider_->profile().content_labels) {
-    names.push_back(dns::DnsName::must_parse(label + "." + provider_->profile().zone));
+  const CdnProfile& profile = provider_->profile();
+  zone_ = dns::DnsName::must_parse(profile.zone);
+  for (const auto& label : profile.content_labels) {
+    content_names_.push_back(dns::DnsName::must_parse(label + "." + profile.zone));
   }
-  return names;
 }
 
 dns::Message CdnAuthoritative::handle(const dns::Message& query, net::Ipv4Addr source) {
@@ -29,16 +22,13 @@ dns::Message CdnAuthoritative::handle(const dns::Message& query, net::Ipv4Addr s
     return dns::Message::make_response(query, dns::Rcode::kFormErr);
   }
   const dns::Question& q = query.questions[0];
-  if (!q.name.is_subdomain_of(zone())) {
+  if (!q.name.is_subdomain_of(zone_)) {
     return dns::Message::make_response(query, dns::Rcode::kRefused);
   }
 
   const auto& profile = provider_->profile();
-  bool known_label = false;
-  for (const auto& name : content_names()) {
-    if (q.name == name) known_label = true;
-  }
-  if (!known_label) {
+  if (std::find(content_names_.begin(), content_names_.end(), q.name) ==
+      content_names_.end()) {
     return dns::Message::make_response(query, dns::Rcode::kNxDomain);
   }
   if (q.type != dns::RrType::kA) {

@@ -20,14 +20,19 @@ class CdnAuthoritative : public dns::DnsServer {
   dns::Message handle(const dns::Message& query, net::Ipv4Addr source) override;
 
   /// The zone this server is authoritative for.
-  [[nodiscard]] dns::DnsName zone() const;
+  [[nodiscard]] const dns::DnsName& zone() const { return zone_; }
 
   /// Fully qualified content names served (label + zone).
-  [[nodiscard]] std::vector<dns::DnsName> content_names() const;
+  [[nodiscard]] const std::vector<dns::DnsName>& content_names() const {
+    return content_names_;
+  }
 
  private:
   CdnProvider* provider_;
   std::uint32_t ttl_;
+  /// Parsed from the provider's profile once, at construction.
+  dns::DnsName zone_;
+  std::vector<dns::DnsName> content_names_;
 };
 
 }  // namespace drongo::cdn

@@ -50,6 +50,9 @@ CdnProvider::CdnProvider(CdnProfile profile, topology::World* world,
   if (profile_.anycast && vips_.empty()) {
     throw net::InvalidArgument("anycast profile requires VIPs");
   }
+  if (clusters_.size() > 0x7FFF) {
+    throw net::InvalidArgument("CDN has more clusters than the mapping table indexes");
+  }
   by_weight_.resize(clusters_.size());
   for (std::size_t i = 0; i < clusters_.size(); ++i) by_weight_[i] = i;
   std::stable_sort(by_weight_.begin(), by_weight_.end(), [this](std::size_t a, std::size_t b) {
@@ -126,11 +129,11 @@ std::vector<std::size_t> CdnProvider::ranked_clusters(
   return ranked;
 }
 
-int CdnProvider::mapped_cluster(const net::Prefix& subnet) const {
-  if (!is_mapped(subnet)) return -1;
-  const net::Prefix key = mapping_key(subnet);
+CdnProvider::Mapping CdnProvider::compute_mapping(const net::Prefix& key) const {
+  Mapping mapping;
+  if (!is_mapped(key)) return mapping;
   const auto location = world_->subnet_location(net::Prefix(key.network(), 24));
-  if (!location) return -1;
+  if (!location) return mapping;
   const auto ranked = ranked_clusters(*location, key);
   std::size_t choice = 0;
   // Persistent mapping error: with probability error_rate the key is stuck
@@ -145,7 +148,25 @@ int CdnProvider::mapped_cluster(const net::Prefix& subnet) const {
     }
     choice = std::min(displacement, ranked.size() - 1);
   }
-  return static_cast<int>(ranked[choice]);
+  mapping.persistent = static_cast<std::int16_t>(ranked[choice]);
+  mapping.first = static_cast<std::uint16_t>(ranked[0]);
+  mapping.second = static_cast<std::uint16_t>(ranked.size() > 1 ? ranked[1] : ranked[0]);
+  return mapping;
+}
+
+CdnProvider::Mapping CdnProvider::mapping_of(const net::Prefix& subnet) const {
+  const net::Prefix key = mapping_key(subnet);
+  const std::uint32_t id = key.network().to_uint();
+  if (const auto stored = mapping_table_->find(id)) return *stored;
+  const Mapping mapping = compute_mapping(key);
+  if (world_->is_allocated(net::Prefix(key.network(), 24))) {
+    mapping_table_->insert(id, mapping);
+  }
+  return mapping;
+}
+
+int CdnProvider::mapped_cluster(const net::Prefix& subnet) const {
+  return mapping_of(subnet).persistent;
 }
 
 std::vector<net::Ipv4Addr> CdnProvider::replica_set_from(const CdnCluster& cluster,
@@ -192,8 +213,8 @@ std::vector<net::Ipv4Addr> CdnProvider::select_with_rotation(const net::Prefix& 
     return out;
   }
 
-  const int persistent = mapped_cluster(ecs_subnet);
-  if (persistent < 0) {
+  const Mapping mapping = mapping_of(ecs_subnet);
+  if (mapping.persistent < 0) {
     // Generic answer for unmapped space: any cluster, weighted by capacity,
     // different per query. This is the instability [47] observed — and the
     // risk a client takes when it assimilates a subnet the CDN never
@@ -213,16 +234,12 @@ std::vector<net::Ipv4Addr> CdnProvider::select_with_rotation(const net::Prefix& 
     return replica_set_from(clusters_[pick], rotation);
   }
 
-  std::size_t serve = static_cast<std::size_t>(persistent);
+  std::size_t serve = static_cast<std::size_t>(mapping.persistent);
   // Transient load-balancing spill to the runner-up.
   const std::uint64_t spill_h =
       hash3(profile_.seed ^ 0x5B1LL, key.network().to_uint(), rotation);
   if (hash01(spill_h) < profile_.lb_spill_prob && clusters_.size() > 1) {
-    const auto location = world_->subnet_location(net::Prefix(key.network(), 24));
-    if (location) {
-      const auto ranked = ranked_clusters(*location, key);
-      serve = ranked[0] == serve ? ranked[1] : ranked[0];
-    }
+    serve = mapping.first == serve ? mapping.second : mapping.first;
   }
   return replica_set_from(clusters_[serve], rotation);
 }

@@ -2,10 +2,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cdn/profile.hpp"
 #include "net/prefix.hpp"
+#include "net/sharded_memo.hpp"
 #include "topology/world.hpp"
 
 namespace drongo::cdn {
@@ -44,6 +46,16 @@ struct CdnCluster {
 ///  - In anycast mode every returned address is a VIP whose measured
 ///    latency is that of the nearest front, so DNS-level choice barely
 ///    matters (CDNetworks' shallow valleys, Fig. 6).
+///
+/// Mapping table: the per-key part of the model (mapped or not, the
+/// persistent cluster, the top two of the ranking the spill needs) is a pure
+/// function of the key, so it is computed once per key and memoized, the way
+/// a real CDN ranks servers per address block offline rather than per query.
+/// Only keys whose /24 the world has allocated are stored (see
+/// World::is_allocated), which bounds the table by the address plan and
+/// keeps it exact if hosts are added later; other keys are computed on every
+/// query. The table is internally synchronized, so the const overload of
+/// select_replicas stays safe to call concurrently.
 class CdnProvider {
  public:
   /// `world` is borrowed. `vips` must be non-empty iff profile.anycast.
@@ -83,7 +95,24 @@ class CdnProvider {
   /// Queries served (load-balancing rotation position).
   [[nodiscard]] std::uint64_t query_count() const { return query_counter_; }
 
+  /// Keys stored in the mapping table.
+  [[nodiscard]] std::size_t mapping_table_size() const { return mapping_table_->size(); }
+
  private:
+  /// One mapping-table entry: what per-query selection needs from a key's
+  /// ranking. Compact, since the daemon keeps one per allocated /24 queried.
+  struct Mapping {
+    std::int16_t persistent = -1;  ///< mapped_cluster(); -1 = unmapped
+    std::uint16_t first = 0;       ///< best-ranked cluster
+    std::uint16_t second = 0;      ///< runner-up (== first with one cluster)
+  };
+
+  /// The mapping of `subnet`'s key, from the table or computed.
+  [[nodiscard]] Mapping mapping_of(const net::Prefix& subnet) const;
+
+  /// Ranks the clusters for `key` and derives its Mapping.
+  [[nodiscard]] Mapping compute_mapping(const net::Prefix& key) const;
+
   /// CDN-internal latency estimate from a subnet location to a cluster:
   /// geography distorted by persistent noise. Ignores routing inflation —
   /// the gap between this estimate and real routed RTT is one of the two
@@ -111,6 +140,11 @@ class CdnProvider {
   std::vector<net::Ipv4Addr> vips_;
   std::vector<std::size_t> by_weight_;  ///< cluster indices, heaviest first
   std::uint64_t query_counter_ = 0;
+  /// Mapping table keyed by the mapping key's network address (every
+  /// per-key draw hashes only that). Behind a pointer so the provider
+  /// stays movable.
+  std::unique_ptr<net::ShardedMemo<std::uint32_t, Mapping>> mapping_table_ =
+      std::make_unique<net::ShardedMemo<std::uint32_t, Mapping>>();
 };
 
 }  // namespace drongo::cdn

@@ -156,6 +156,7 @@ std::vector<std::uint8_t> Message::encode() const {
 void Message::encode_to(std::vector<std::uint8_t>& out) const {
   net::ByteWriter w(std::move(out));
   NameOffsets offsets;
+  offsets.reserve(16);  // a typical reply records a handful of suffixes
 
   const std::size_t additional_count = additional.size() + (edns ? 1 : 0);
   w.write_u16(header.id);

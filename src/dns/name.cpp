@@ -1,7 +1,7 @@
 #include "dns/name.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <span>
 #include <string_view>
 
 #include "net/error.hpp"
@@ -13,6 +13,52 @@ namespace {
 constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxName = 255;
 constexpr std::uint8_t kPointerTag = 0xC0;
+constexpr int kMaxPointerHops = 64;
+
+/// RFC 1035 §2.3.3 case folding: ASCII letters only, in place.
+constexpr unsigned char fold(unsigned char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<unsigned char>(c + ('a' - 'A')) : c;
+}
+
+/// Case-insensitive three-way label comparison, ordered like comparing the
+/// lowercased strings (unsigned bytes, then length).
+int compare_folded(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char x = fold(static_cast<unsigned char>(a[i]));
+    const unsigned char y = fold(static_cast<unsigned char>(b[i]));
+    if (x != y) return x < y ? -1 : 1;
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
+}
+
+/// Whether the name written at `at` in `wire` equals `labels[from..]`,
+/// case-insensitively, following compression pointers. False when the walk
+/// leaves the buffer, as it does from a name still being written.
+bool suffix_written_at(std::span<const std::uint8_t> wire, std::size_t at,
+                       const std::vector<std::string>& labels, std::size_t from) {
+  int hops = 0;
+  for (std::size_t k = from;;) {
+    if (at >= wire.size()) return false;
+    const std::uint8_t len = wire[at];
+    if ((len & kPointerTag) == kPointerTag) {
+      if (at + 1 >= wire.size() || ++hops > kMaxPointerHops) return false;
+      at = (static_cast<std::size_t>(len & 0x3F) << 8) | wire[at + 1];
+      continue;
+    }
+    if (k == labels.size()) return len == 0;
+    const std::string& label = labels[k];
+    if (len != label.size() || at + 1 + len > wire.size()) return false;
+    for (std::size_t j = 0; j < len; ++j) {
+      if (fold(wire[at + 1 + j]) != fold(static_cast<unsigned char>(label[j]))) {
+        return false;
+      }
+    }
+    at += 1 + len;
+    ++k;
+  }
+}
 }  // namespace
 
 DnsName::DnsName(std::vector<std::string> labels) : labels_(std::move(labels)) {
@@ -75,7 +121,7 @@ DnsName DnsName::decode(net::ByteReader& reader) {
       if (target >= here) {
         throw net::ParseError("DNS compression pointer does not point backward");
       }
-      if (++pointer_hops > 64) {
+      if (++pointer_hops > kMaxPointerHops) {
         throw net::ParseError("DNS compression pointer chain too long");
       }
       if (!jumped) {
@@ -105,34 +151,22 @@ void DnsName::encode(net::ByteWriter& writer, NameOffsets* offsets) const {
     writer.write_u8(0);
     return;
   }
-  // Build the canonical (lowercase, dotted) form once; the suffix starting
-  // at label i is then a view into it, so each map probe allocates nothing.
-  // A key string is materialised only when a new suffix is recorded.
-  std::string canonical;
-  canonical.reserve(wire_length());
+  // Offsets are recorded as labels are written, so a probe may start at a
+  // suffix of this very name; its walk then runs into the end of the buffer
+  // (the name is unfinished) and fails, which is why the walk is
+  // bounds-checked. No suffix of a name equals a longer suffix of the same
+  // name, so nothing is lost.
   for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (i != 0) canonical.push_back('.');
-    for (const char c : labels_[i]) {
-      canonical.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    const std::span<const std::uint8_t> wire(writer.bytes());
+    for (const std::uint16_t at : *offsets) {
+      if (suffix_written_at(wire, at, labels_, i)) {
+        writer.write_u16(static_cast<std::uint16_t>(0xC000 | at));
+        return;
+      }
     }
-  }
-  std::size_t suffix_start = 0;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    const std::string_view suffix =
-        std::string_view(canonical).substr(suffix_start);
-    auto it = offsets->find(suffix);
-    if (it != offsets->end()) {
-      writer.write_u16(static_cast<std::uint16_t>(0xC000 | it->second));
-      return;
-    }
-    if (writer.size() < 0x4000) {
-      offsets->emplace(std::string(suffix),
-                       static_cast<std::uint16_t>(writer.size()));
-    }
+    if (writer.size() < 0x4000) offsets->push_back(static_cast<std::uint16_t>(writer.size()));
     writer.write_u8(static_cast<std::uint8_t>(labels_[i].size()));
     writer.write_string(labels_[i]);
-    suffix_start += labels_[i].size() + 1;  // past this label and its dot
   }
   writer.write_u8(0);
 }
@@ -162,7 +196,7 @@ bool DnsName::is_subdomain_of(const DnsName& other) const {
   auto mine = labels_.rbegin();
   for (auto theirs = other.labels_.rbegin(); theirs != other.labels_.rend();
        ++theirs, ++mine) {
-    if (net::to_lower(*mine) != net::to_lower(*theirs)) return false;
+    if (compare_folded(*mine, *theirs) != 0) return false;
   }
   return true;
 }
@@ -181,9 +215,7 @@ bool operator==(const DnsName& a, const DnsName& b) {
 std::strong_ordering operator<=>(const DnsName& a, const DnsName& b) {
   const auto n = std::min(a.labels_.size(), b.labels_.size());
   for (std::size_t i = 0; i < n; ++i) {
-    auto la = net::to_lower(a.labels_[i]);
-    auto lb = net::to_lower(b.labels_[i]);
-    if (auto cmp = la.compare(lb); cmp != 0) {
+    if (const int cmp = compare_folded(a.labels_[i], b.labels_[i]); cmp != 0) {
       return cmp < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
     }
   }

@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,11 +12,12 @@
 
 namespace drongo::dns {
 
-/// Compression state threaded through one message encode: lowercased name
-/// suffix -> wire offset where it was first written. The transparent
-/// comparator lets the hot path probe with string_views (no key allocation
-/// on lookup; a std::string key is built only when a new suffix is stored).
-using NameOffsets = std::map<std::string, std::uint16_t, std::less<>>;
+/// Compression state threaded through one message encode: the buffer
+/// offsets where a name suffix was first written, in write order. The table
+/// stores no names: a probe compares the candidate suffix label by label,
+/// case-insensitively, against the wire bytes already at each offset,
+/// following compression pointers.
+using NameOffsets = std::vector<std::uint16_t>;
 
 /// A DNS domain name: an ordered sequence of labels.
 ///
@@ -47,10 +47,11 @@ class DnsName {
   static DnsName decode(net::ByteReader& reader);
 
   /// Encodes in wire format, compressing against names already written:
-  /// `offsets` maps a lowercased suffix ("example.com") to the buffer offset
-  /// where that suffix was previously encoded. Pass nullptr to disable
-  /// compression. Newly encoded suffixes at offsets < 0x4000 are added to the
-  /// map.
+  /// `offsets` lists where earlier suffixes start in `writer`'s buffer, and
+  /// the longest suffix of this name found there (case-insensitively) is
+  /// replaced by a pointer. Pass nullptr to disable compression. The
+  /// suffixes this call writes in place at offsets < 0x4000 are appended to
+  /// `offsets`.
   void encode(net::ByteWriter& writer, NameOffsets* offsets = nullptr) const;
 
   [[nodiscard]] const std::vector<std::string>& labels() const { return labels_; }

@@ -146,7 +146,7 @@ Testbed::Testbed(TestbedConfig config)
   }
 }
 
-std::vector<dns::DnsName> Testbed::content_names(std::size_t index) const {
+const std::vector<dns::DnsName>& Testbed::content_names(std::size_t index) const {
   return authoritatives_.at(index)->content_names();
 }
 

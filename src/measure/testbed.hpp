@@ -86,7 +86,7 @@ class Testbed {
   }
 
   /// Content hostnames served by provider `index`.
-  [[nodiscard]] std::vector<dns::DnsName> content_names(std::size_t index) const;
+  [[nodiscard]] const std::vector<dns::DnsName>& content_names(std::size_t index) const;
 
   /// CDN-fronted sites (resolve their `host` through the resolver and the
   /// CNAME chase lands on CDN replicas).

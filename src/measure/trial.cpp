@@ -125,7 +125,7 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
   record.time_hours = time_hours;
 
   // Step 1: a URL of this provider (random unless pinned).
-  const auto names = testbed_->content_names(provider_index);
+  const auto& names = testbed_->content_names(provider_index);
   const dns::DnsName domain =
       names[label_index ? *label_index % names.size() : rng.index(names.size())];
   record.domain = domain.to_string();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 
 #include "net/error.hpp"
 
@@ -179,6 +178,18 @@ SubnetKind World::subnet_kind(const net::Prefix& subnet) const {
                                                         : SubnetKind::kUnknown;
 }
 
+bool World::is_allocated(const net::Prefix& subnet) const {
+  switch (subnet_kind(subnet)) {
+    case SubnetKind::kRouter:
+      return true;
+    case SubnetKind::kHost:
+      return hosts_.contains(net::Ipv4Addr((subnet.network().to_uint() & ~0xFFu) | 10u));
+    case SubnetKind::kUnknown:
+      break;
+  }
+  return false;
+}
+
 net::Ipv4Addr World::router_address(std::size_t as_index, int pop_index, int slot,
                                     bool edge) const {
   const std::uint32_t third = static_cast<std::uint32_t>(pop_index) * 2 + (edge ? 1 : 0);
@@ -314,19 +325,12 @@ double World::one_way_base_ms(net::Ipv4Addr src, net::Ipv4Addr dst) {
   const net::Ipv4Addr real_dst = resolve_anycast(src, dst);
   const std::uint64_t key =
       (std::uint64_t{src.to_uint()} << 32) | real_dst.to_uint();
-  CacheShard& shard = one_way_cache_[stateless_mix(key) % kCacheShards];
-  {
-    std::shared_lock lock(shard.mutex);
-    if (auto it = shard.delays.find(key); it != shard.delays.end()) {
-      return it->second;
-    }
-  }
-  // Compute outside the lock; the path is deterministic, so concurrent
-  // misses on the same pair agree on the value.
+  if (const auto cached = one_way_cache_.find(key)) return *cached;
+  // The path is deterministic, so concurrent misses on the same pair agree
+  // on the value.
   const auto points = pop_path(endpoint_of(src), endpoint_of(real_dst));
   const double ms = points.back().cumulative_one_way_ms;
-  std::unique_lock lock(shard.mutex);
-  shard.delays.try_emplace(key, ms);
+  one_way_cache_.insert(key, ms);
   return ms;
 }
 

@@ -7,10 +7,8 @@
 // observables a real client has.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +17,7 @@
 #include "net/ipaddr.hpp"
 #include "net/prefix.hpp"
 #include "net/rng.hpp"
+#include "net/sharded_memo.hpp"
 #include "net/types.hpp"
 #include "topology/as_graph.hpp"
 #include "topology/routing.hpp"
@@ -170,6 +169,12 @@ class World {
   /// this to prioritize eyeball (host) space in their measurement coverage.
   [[nodiscard]] SubnetKind subnet_kind(const net::Prefix& subnet) const;
 
+  /// Whether `subnet`'s /24 is allocated: a router /24 of an existing PoP,
+  /// or a host /24 already handed out by add_host. Everything the world
+  /// reports about an allocated /24 (kind, location, RTTs to it) is final;
+  /// about an unallocated one it may change when a later add_host claims it.
+  [[nodiscard]] bool is_allocated(const net::Prefix& subnet) const;
+
   // ---- Latency ------------------------------------------------------------
 
   /// Deterministic base one-way delay along the valley-free path (includes
@@ -227,15 +232,9 @@ class World {
   std::vector<int> next_host_slot_;  // per AS node: next third octet (from 32)
   std::uint32_t next_anycast_ = 0;
 
-  /// The one-way delay memo, sharded to keep parallel campaign workers from
-  /// serializing on one lock. Values are deterministic, so a racing miss
-  /// recomputes the same number; only the map structure needs guarding.
-  struct CacheShard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::uint64_t, double> delays;
-  };
-  static constexpr std::size_t kCacheShards = 16;
-  std::array<CacheShard, kCacheShards> one_way_cache_;
+  /// The one-way delay memo, keyed by (src, resolved dst), sharded to keep
+  /// parallel campaign workers from serializing on one lock.
+  net::ShardedMemo<std::uint64_t, double> one_way_cache_;
 };
 
 }  // namespace drongo::topology

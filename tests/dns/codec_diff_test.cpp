@@ -1,0 +1,286 @@
+// Differential suite for DNS name compression: the offset-list encoder
+// (DnsName::encode with NameOffsets) against a reference copy of the
+// earlier encoder, which kept a std::map from the lowercased dotted suffix
+// to its offset. Over a seeded corpus of messages (mixed case, CNAME chains,
+// PTR answers, NS/SOA rdata, repeated labels, names past offset 0x4000) the
+// two must produce byte-identical wires. The one intended difference is the
+// dotted-key conflation the reference has, covered by its own regression
+// test below.
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <functional>
+#include <map>
+#include <span>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "dns/message.hpp"
+#include "net/bytes.hpp"
+#include "net/rng.hpp"
+
+namespace drongo::dns {
+namespace {
+
+// ---- Reference encoder ----------------------------------------------------
+
+using ReferenceOffsets = std::map<std::string, std::uint16_t, std::less<>>;
+
+void reference_encode_name(const DnsName& name, net::ByteWriter& writer,
+                           ReferenceOffsets& offsets) {
+  const auto& labels = name.labels();
+  std::string canonical;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i != 0) canonical.push_back('.');
+    for (const char c : labels[i]) {
+      canonical.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    }
+  }
+  std::size_t suffix_start = 0;
+  for (const auto& label : labels) {
+    const std::string_view suffix = std::string_view(canonical).substr(suffix_start);
+    if (auto it = offsets.find(suffix); it != offsets.end()) {
+      writer.write_u16(static_cast<std::uint16_t>(0xC000 | it->second));
+      return;
+    }
+    if (writer.size() < 0x4000) {
+      offsets.emplace(std::string(suffix), static_cast<std::uint16_t>(writer.size()));
+    }
+    writer.write_u8(static_cast<std::uint8_t>(label.size()));
+    writer.write_string(label);
+    suffix_start += label.size() + 1;
+  }
+  writer.write_u8(0);
+}
+
+void reference_encode_rr(const ResourceRecord& rr, net::ByteWriter& writer,
+                         ReferenceOffsets& offsets) {
+  reference_encode_name(rr.name, writer, offsets);
+  writer.write_u16(static_cast<std::uint16_t>(rr.type));
+  writer.write_u16(static_cast<std::uint16_t>(rr.klass));
+  writer.write_u32(rr.ttl);
+  const std::size_t rdlength_at = writer.size();
+  writer.write_u16(0);
+  const std::size_t rdata_start = writer.size();
+  std::visit(
+      [&](const auto& data) {
+        using T = std::decay_t<decltype(data)>;
+        if constexpr (std::is_same_v<T, ARdata>) {
+          writer.write_u32(data.address.to_uint());
+        } else if constexpr (std::is_same_v<T, CnameRdata>) {
+          reference_encode_name(data.target, writer, offsets);
+        } else if constexpr (std::is_same_v<T, NsRdata>) {
+          reference_encode_name(data.nameserver, writer, offsets);
+        } else if constexpr (std::is_same_v<T, PtrRdata>) {
+          reference_encode_name(data.name, writer, offsets);
+        } else if constexpr (std::is_same_v<T, TxtRdata>) {
+          for (const auto& s : data.strings) {
+            writer.write_u8(static_cast<std::uint8_t>(s.size()));
+            writer.write_string(s);
+          }
+        } else if constexpr (std::is_same_v<T, SoaRdata>) {
+          reference_encode_name(data.mname, writer, offsets);
+          reference_encode_name(data.rname, writer, offsets);
+          writer.write_u32(data.serial);
+          writer.write_u32(data.refresh);
+          writer.write_u32(data.retry);
+          writer.write_u32(data.expire);
+          writer.write_u32(data.minimum);
+        } else if constexpr (std::is_same_v<T, RawRdata>) {
+          writer.write_bytes(data.bytes);
+        }
+      },
+      rr.rdata);
+  writer.patch_u16(rdlength_at, static_cast<std::uint16_t>(writer.size() - rdata_start));
+}
+
+/// The reference wire of `m`. The header and the OPT record carry no names,
+/// so they are taken from the library encoder: the first 12 bytes of m's
+/// wire, and the tail of the wire of a message holding only m's EDNS block.
+std::vector<std::uint8_t> reference_encode(const Message& m) {
+  const std::vector<std::uint8_t> wire = m.encode();
+  net::ByteWriter w;
+  w.write_bytes(std::span(wire).first(12));
+  ReferenceOffsets offsets;
+  for (const auto& q : m.questions) {
+    reference_encode_name(q.name, w, offsets);
+    w.write_u16(static_cast<std::uint16_t>(q.type));
+    w.write_u16(static_cast<std::uint16_t>(q.klass));
+  }
+  for (const auto* section : {&m.answers, &m.authority, &m.additional}) {
+    for (const auto& rr : *section) reference_encode_rr(rr, w, offsets);
+  }
+  if (m.edns) {
+    Message opt_only;
+    opt_only.edns = m.edns;
+    const std::vector<std::uint8_t> opt_wire = opt_only.encode();
+    w.write_bytes(std::span(opt_wire).subspan(12));
+  }
+  return w.take();
+}
+
+// ---- Corpus -----------------------------------------------------------------
+
+/// Labels drawn from a small pool so suffixes repeat across (and within)
+/// names, each in a random case mix.
+class NameSource {
+ public:
+  explicit NameSource(net::Rng& rng) : rng_(rng) {}
+
+  std::string label() {
+    static const char* const kPool[] = {"a",   "b",    "cdn", "sim", "www", "img",
+                                        "x-1", "edge", "in",  "com", "aa",  "z9"};
+    std::string out = kPool[rng_.index(std::size(kPool))];
+    for (char& c : out) {
+      if (rng_.chance(0.3)) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    return out;
+  }
+
+  DnsName name(std::size_t max_labels = 5) {
+    std::vector<std::string> labels(1 + rng_.index(max_labels));
+    for (auto& l : labels) l = label();
+    return DnsName(std::move(labels));
+  }
+
+  /// A name under `zone`: 1-3 labels prepended.
+  DnsName under(const DnsName& zone) {
+    std::vector<std::string> labels(1 + rng_.index(3));
+    for (auto& l : labels) l = label();
+    labels.insert(labels.end(), zone.labels().begin(), zone.labels().end());
+    return DnsName(std::move(labels));
+  }
+
+  DnsName reverse() {
+    std::vector<std::string> labels;
+    for (int i = 0; i < 4; ++i) labels.push_back(std::to_string(rng_.uniform(256)));
+    labels.emplace_back(rng_.chance(0.5) ? "in-addr" : "IN-ADDR");
+    labels.emplace_back("arpa");
+    return DnsName(std::move(labels));
+  }
+
+ private:
+  net::Rng& rng_;
+};
+
+Message random_message(net::Rng& rng) {
+  NameSource names(rng);
+  const DnsName zone = names.name(3);
+  Message m;
+  m.header.id = static_cast<std::uint16_t>(rng.uniform(65536));
+  m.header.qr = true;
+  const bool reverse = rng.chance(0.25);
+  const DnsName qname = reverse ? names.reverse() : names.under(zone);
+  m.questions.push_back({qname, reverse ? RrType::kPtr : RrType::kA, RrClass::kIn});
+
+  if (reverse) {
+    m.answers.push_back(ResourceRecord::ptr(qname, names.under(zone)));
+  } else {
+    // A CNAME chain of 0-3 links ending in A records.
+    DnsName owner = qname;
+    for (std::size_t link = rng.index(4); link > 0; --link) {
+      DnsName target = rng.chance(0.5) ? names.under(zone) : names.name();
+      m.answers.push_back(ResourceRecord::cname(owner, target));
+      owner = std::move(target);
+    }
+    for (std::size_t k = 1 + rng.index(4); k > 0; --k) {
+      m.answers.push_back(ResourceRecord::a(
+          owner, net::Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())), 30));
+    }
+  }
+  // Oversized TXT padding pushes later names past offset 0x4000, where new
+  // suffixes may no longer be recorded but pointers back still apply.
+  if (rng.chance(0.2)) {
+    TxtRdata txt;
+    for (std::size_t k = 64 + rng.index(16); k > 0; --k) txt.strings.emplace_back(255, 't');
+    m.answers.push_back({names.under(zone), RrType::kTxt, RrClass::kIn, 60, std::move(txt)});
+  }
+  for (std::size_t k = rng.index(3); k > 0; --k) {
+    m.authority.push_back(ResourceRecord::ns(zone, names.under(zone)));
+  }
+  if (rng.chance(0.5)) {
+    SoaRdata soa{names.under(zone), names.name(), 7, 3600, 600, 86400, 60};
+    m.authority.push_back(ResourceRecord::soa(zone, std::move(soa)));
+  }
+  for (std::size_t k = rng.index(3); k > 0; --k) {
+    m.additional.push_back(ResourceRecord::a(names.under(zone), net::Ipv4Addr(10, 0, 0, 1)));
+  }
+  if (rng.chance(0.5)) m.edns = Edns{};
+  return m;
+}
+
+void expect_same(const Message& a, const Message& b) {
+  EXPECT_EQ(a.header, b.header);
+  EXPECT_EQ(a.questions, b.questions);
+  EXPECT_EQ(a.answers, b.answers);
+  EXPECT_EQ(a.authority, b.authority);
+  EXPECT_EQ(a.additional, b.additional);
+  EXPECT_EQ(a.edns, b.edns);
+}
+
+// ---- Tests --------------------------------------------------------------------
+
+class CodecCorpus : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodecCorpus, OffsetListEncoderMatchesReferenceByteForByte) {
+  net::Rng rng(GetParam());
+  int past_0x4000 = 0;
+  for (int i = 0; i < 300; ++i) {
+    const Message m = random_message(rng);
+    const auto wire = m.encode();
+    ASSERT_EQ(wire, reference_encode(m)) << "seed " << GetParam() << " message " << i;
+    expect_same(Message::decode(wire), m);
+    if (wire.size() > 0x4000) ++past_0x4000;
+  }
+  EXPECT_GT(past_0x4000, 0) << "corpus never exercised offsets past 0x4000";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodecCorpus, ::testing::Values(1, 2, 3, 5, 8, 13));
+
+TEST(CodecTest, RepeatedLabelsCompressLikeTheReference) {
+  // Every suffix of a.a.a starts with the label "a", so probes start at
+  // suffixes of the name still being written: they must fail at the end of
+  // the buffer, never read past it (ASan) or match.
+  Message m;
+  m.questions.push_back({DnsName::must_parse("a.a.a"), RrType::kA, RrClass::kIn});
+  m.answers.push_back(ResourceRecord::cname(DnsName::must_parse("A.a.A"),
+                                            DnsName::must_parse("a.a")));
+  m.answers.push_back(ResourceRecord::a(DnsName::must_parse("a"), net::Ipv4Addr(1, 2, 3, 4)));
+  const auto wire = m.encode();
+  EXPECT_EQ(wire, reference_encode(m));
+  expect_same(Message::decode(wire), m);
+}
+
+TEST(CodecTest, LabelContainingADotIsNotALabelBoundary) {
+  // The question's first label is "a.b"; the answer's name is a.b.c, three
+  // labels. A dotted-string compression key conflates the two, and the
+  // answer then decodes with two labels.
+  Message m;
+  m.header.qr = true;
+  const DnsName dotted(std::vector<std::string>{"a.b", "c"});
+  const DnsName three = DnsName::must_parse("a.b.c");
+  m.questions.push_back({dotted, RrType::kA, RrClass::kIn});
+  m.answers.push_back(ResourceRecord::a(three, net::Ipv4Addr(1, 2, 3, 4)));
+
+  const Message back = Message::decode(m.encode());
+  ASSERT_EQ(back.answers.size(), 1u);
+  EXPECT_EQ(back.answers[0].name.label_count(), 3u);
+  EXPECT_EQ(back.questions[0].name.label_count(), 2u);
+  // Only the shared suffix "c" may be compressed.
+  EXPECT_NE(m.encode(), reference_encode(m));
+}
+
+TEST(CodecTest, NameOffsetsListsWhereSuffixesStart) {
+  NameOffsets offsets;
+  net::ByteWriter w;
+  DnsName::must_parse("www.Example.com").encode(w, &offsets);
+  EXPECT_EQ(offsets, (NameOffsets{0, 4, 12}));
+  DnsName::must_parse("mail.example.COM").encode(w, &offsets);
+  // "mail" is new; "example.com" is a pointer back to offset 4.
+  EXPECT_EQ(offsets, (NameOffsets{0, 4, 12, 17}));
+  EXPECT_EQ(w.size(), 17u + 5u + 2u);
+}
+
+}  // namespace
+}  // namespace drongo::dns

@@ -121,6 +121,10 @@ struct FaultCase {
   dns::FaultProfile (*profile)();  ///< built lazily, at test run time
 };
 
+// Print the policy name, not the pointers' bytes: ctest names parameterized
+// cases by this value, so it must be the same on every build.
+void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
+
 class FaultMatrixTest : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(FaultMatrixTest, CampaignDegradesGracefully) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 #include "net/error.hpp"
@@ -35,6 +36,12 @@ TEST(Ipv4AddrTest, ParseValid) {
 struct BadAddress {
   const char* text;
 };
+
+// Print the text, not the pointer's bytes: ctest names parameterized cases
+// by this value, so it must be the same on every build.
+void PrintTo(const BadAddress& bad, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(bad.text));
+}
 
 class Ipv4ParseRejects : public ::testing::TestWithParam<BadAddress> {};
 

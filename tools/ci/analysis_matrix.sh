@@ -9,7 +9,7 @@
 # Usage: tools/ci/analysis_matrix.sh [--short] [--jobs N]
 #
 #   --short   tier-1 time budget: every sanitizer stage runs only the
-#             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6 labels
+#             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec labels
 #             instead of the full suite.
 #   --jobs N  parallel build/test jobs (default: nproc).
 #
@@ -44,11 +44,11 @@ cmake --build --preset default --target drongo_lint -j "$JOBS" >/dev/null
 echo "SARIF artifact: build/drongo_lint.sarif"
 
 # Stages 2-4: sanitizer builds. In --short mode each runs only the
-# concurrency/faults/static/obs/serving/lpm/sharing/hedging/daemon/ipv6 label slice so
+# concurrency/faults/static/obs/serving/lpm/sharing/hedging/daemon/ipv6/codec label slice so
 # the whole matrix fits a tier-1 budget; the full suite is the default for nightly/deep runs.
 LABEL_ARGS=()
 if [[ "$SHORT" -eq 1 ]]; then
-  LABEL_ARGS=(-L 'concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6')
+  LABEL_ARGS=(-L 'concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec')
 fi
 
 banner "stage 2/4: AddressSanitizer"
