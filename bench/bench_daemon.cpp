@@ -5,7 +5,9 @@
 // (sharded cache on, coalescing on, frozen serving time) over real loopback
 // sockets, driven by a pipelined load generator that keeps a window of
 // queries outstanding and itself batches syscalls (the client must not
-// steal the server's core with per-datagram overhead):
+// steal the server's core with per-datagram overhead). The window is split
+// over one client flow per listener, each with its own socket and thread,
+// so SO_REUSEPORT spreads the load and the client does not cap arm B:
 //
 //   arm A  dns::UdpDnsServer    blocking thread, one recvfrom/sendto pair
 //                               and a fresh 64 KB buffer per datagram
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -177,14 +180,22 @@ double percentile(std::vector<double>& sorted_samples, double q) {
   return sorted_samples[std::min(index, sorted_samples.size() - 1)];
 }
 
-/// Keeps `window` queries outstanding against 127.0.0.1:`port` for
-/// `duration` seconds. Each window slot owns one pre-encoded query (its DNS
-/// id IS the slot index, so a response maps back without decoding); every
-/// response immediately re-arms its slot. Client syscalls are batched with
-/// the same UdpBatch machinery the daemon uses — on a shared core the
-/// client's own syscall count is part of the measurement budget.
-LoadResult run_load(World& env, std::uint16_t port, double duration,
-                    std::size_t window, std::size_t batch) {
+/// What one client flow measured.
+struct FlowResult {
+  std::uint64_t responses = 0;
+  double seconds = 0.0;
+  std::vector<double> samples;  // per-response latency, ms
+};
+
+/// One client flow: keeps window slots [first, first + slots) outstanding
+/// against 127.0.0.1:`port` for `duration` seconds over its own socket.
+/// Each slot owns one pre-encoded query (its DNS id IS the slot's index in
+/// this flow, so a response maps back without decoding); every response
+/// immediately re-arms its slot. Client syscalls are batched with the same
+/// UdpBatch machinery the daemon uses — on a shared core the client's own
+/// syscall count is part of the measurement budget.
+FlowResult run_flow(World& env, std::uint16_t port, double duration, std::size_t first,
+                    std::size_t slots, std::size_t batch) {
   dns::UdpSocket socket(0);  // blocking: the client parks while the server runs
   socket.set_receive_timeout(50);
   netio::UdpBatch io(batch, 4096);
@@ -196,23 +207,23 @@ LoadResult run_load(World& env, std::uint16_t port, double duration,
 
   const auto names = env.auth->content_names();
   std::vector<std::vector<std::uint8_t>> queries;
-  queries.reserve(window);
-  for (std::size_t slot = 0; slot < window; ++slot) {
-    const auto& name = names[slot % names.size()];
+  queries.reserve(slots);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const std::size_t global = first + slot;
+    const auto& name = names[global % names.size()];
     // A distinct /24 per slot spreads cache entries across scopes/shards.
     const net::Prefix subnet(
-        net::Ipv4Addr(20, static_cast<std::uint8_t>(slot >> 8),
-                      static_cast<std::uint8_t>(slot & 0xFF), 0),
+        net::Ipv4Addr(20, static_cast<std::uint8_t>(global >> 8),
+                      static_cast<std::uint8_t>(global & 0xFF), 0),
         24);
     queries.push_back(
         dns::Message::make_query(static_cast<std::uint16_t>(slot), name, subnet)
             .encode());
   }
 
-  std::vector<double> sent_at(window, -1.0);
-  std::vector<double> samples;
-  samples.reserve(1u << 18);
-  std::uint64_t responses = 0;
+  std::vector<double> sent_at(slots, -1.0);
+  FlowResult result;
+  result.samples.reserve(1u << 18);
 
   const net::Stopwatch watch;
   auto stage_slot = [&](std::size_t slot, double now) {
@@ -220,7 +231,7 @@ LoadResult run_load(World& env, std::uint16_t port, double duration,
     io.stage(dest, queries[slot]);
     sent_at[slot] = now;
   };
-  for (std::size_t slot = 0; slot < window; ++slot) stage_slot(slot, watch.seconds());
+  for (std::size_t slot = 0; slot < slots; ++slot) stage_slot(slot, watch.seconds());
   io.flush(socket.fd());
 
   while (true) {
@@ -229,7 +240,7 @@ LoadResult run_load(World& env, std::uint16_t port, double duration,
     if (now >= duration) break;
     if (count == 0) {
       // Timeout tick: re-arm slots whose query or response was dropped.
-      for (std::size_t slot = 0; slot < window; ++slot) {
+      for (std::size_t slot = 0; slot < slots; ++slot) {
         if (now - sent_at[slot] > 0.25) stage_slot(slot, now);
       }
       io.flush(socket.fd());
@@ -240,17 +251,53 @@ LoadResult run_load(World& env, std::uint16_t port, double duration,
       if (payload.size() < 2) continue;
       const std::size_t slot =
           (static_cast<std::size_t>(payload[0]) << 8) | payload[1];
-      if (slot >= window || sent_at[slot] < 0.0) continue;
-      samples.push_back((now - sent_at[slot]) * 1000.0);
-      ++responses;
+      if (slot >= slots || sent_at[slot] < 0.0) continue;
+      result.samples.push_back((now - sent_at[slot]) * 1000.0);
+      ++result.responses;
       stage_slot(slot, now);
     }
     io.flush(socket.fd());
   }
+  result.seconds = watch.seconds();
+  return result;
+}
+
+/// Keeps `window` queries outstanding against 127.0.0.1:`port` for
+/// `duration` seconds, split over `flows` client flows, each its own socket
+/// and thread. Distinct source ports are what let SO_REUSEPORT spread the
+/// load over the daemon's listeners (one flow always lands on one
+/// listener), and one generator thread per flow keeps the client from
+/// capping the measurement: a single generator thread saturates its core
+/// while one daemon listener idles.
+LoadResult run_load(World& env, std::uint16_t port, double duration, std::size_t window,
+                    std::size_t batch, std::size_t flows) {
+  flows = std::clamp<std::size_t>(flows, 1, window);
+  std::vector<FlowResult> results(flows);
+  std::vector<std::exception_ptr> errors(flows);
+  std::vector<std::thread> threads;
+  for (std::size_t f = 0; f < flows; ++f) {
+    const std::size_t first = window * f / flows;
+    const std::size_t slots = window * (f + 1) / flows - first;
+    threads.emplace_back([&, f, first, slots] {
+      try {
+        results[f] = run_flow(env, port, duration, first, slots, batch);
+      } catch (...) {
+        errors[f] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 
   LoadResult result;
-  result.responses = responses;
-  result.seconds = watch.seconds();
+  std::vector<double> samples;
+  for (auto& flow : results) {
+    result.responses += flow.responses;
+    result.seconds = std::max(result.seconds, flow.seconds);
+    samples.insert(samples.end(), flow.samples.begin(), flow.samples.end());
+  }
   std::sort(samples.begin(), samples.end());
   result.p50_ms = percentile(samples, 0.50);
   result.p99_ms = percentile(samples, 0.99);
@@ -276,7 +323,7 @@ int main() {
   {
     auto resolver = env.make_resolver();
     dns::UdpDnsServer server(resolver.get(), 0);
-    naive = run_load(env, server.port(), duration, kWindow, batch);
+    naive = run_load(env, server.port(), duration, kWindow, batch, listeners);
     server.stop();
   }
 
@@ -291,7 +338,7 @@ int main() {
     config.pin_threads = listeners > 1;
     config.enable_tcp = false;  // pure UDP throughput arm
     dns::DaemonServer server(resolver.get(), config);
-    daemon = run_load(env, server.udp_port(), duration, kWindow, batch);
+    daemon = run_load(env, server.udp_port(), duration, kWindow, batch, listeners);
     server.stop();
     daemon_stats = server.stats();
   }
@@ -308,7 +355,7 @@ int main() {
     config.enable_tcp = false;
     config.packet_cache_entries = 0;
     dns::DaemonServer server(resolver.get(), config);
-    no_pcache = run_load(env, server.udp_port(), duration * 0.5, kWindow, batch);
+    no_pcache = run_load(env, server.udp_port(), duration * 0.5, kWindow, batch, listeners);
     server.stop();
   }
 

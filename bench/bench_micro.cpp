@@ -5,6 +5,10 @@
 // updates and choices, and the simulator's own primitives (routing, RTT).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "core/decision.hpp"
 #include "core/drongo.hpp"
 #include "dns/message.hpp"
@@ -14,7 +18,44 @@
 
 using namespace drongo;
 
+// Every operator new on this thread is counted, so the codec benchmarks can
+// report heap allocations per iteration next to their time.
 namespace {
+thread_local std::uint64_t t_allocations = 0;
+
+void* counted_malloc(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+/// Reports the heap allocations made while it lives as the benchmark's
+/// `allocs_per_iter` counter (averaged over iterations).
+class AllocationCounter {
+ public:
+  explicit AllocationCounter(benchmark::State& state)
+      : state_(state), start_(t_allocations) {}
+  ~AllocationCounter() {
+    state_.counters["allocs_per_iter"] = benchmark::Counter(
+        static_cast<double>(t_allocations - start_), benchmark::Counter::kAvgIterations);
+  }
+  AllocationCounter(const AllocationCounter&) = delete;
+  AllocationCounter& operator=(const AllocationCounter&) = delete;
+
+ private:
+  benchmark::State& state_;
+  std::uint64_t start_;
+};
 
 dns::Message sample_response() {
   auto query = dns::Message::make_query(42, dns::DnsName::must_parse("img.googlecdn.sim"),
@@ -68,6 +109,39 @@ void BM_NameCompressionEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NameCompressionEncode);
+
+void BM_DnsNameDecode(benchmark::State& state) {
+  net::ByteWriter w;
+  dns::DnsName::must_parse("img.googlecdn.sim").encode(w);
+  const auto wire = w.take();
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    net::ByteReader r(wire);
+    benchmark::DoNotOptimize(dns::DnsName::decode(r));
+  }
+}
+BENCHMARK(BM_DnsNameDecode);
+
+void BM_DnsNameCopy(benchmark::State& state) {
+  const auto name = dns::DnsName::must_parse("3.84.8.21.in-addr.arpa");
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    dns::DnsName copy = name;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_DnsNameCopy);
+
+void BM_DnsMessageRoundTrip(benchmark::State& state) {
+  // One hop of a simulated resolution: encode a reply, decode it again.
+  const auto response = sample_response();
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    const auto wire = response.encode();
+    benchmark::DoNotOptimize(dns::Message::decode(wire));
+  }
+}
+BENCHMARK(BM_DnsMessageRoundTrip);
 
 void BM_BgpRouteComputation(benchmark::State& state) {
   topology::AsGenConfig config;

@@ -74,7 +74,9 @@ dns::Message CdnAuthoritative::handle(const dns::Message& query, net::Ipv4Addr s
   // The query id seeds the load-balancing rotation: per-query variation
   // without cross-query shared state, so concurrent campaigns stay
   // deterministic (ids come from each stub's own derived RNG stream).
-  for (net::Ipv4Addr replica : provider_->select_replicas(subnet, query.header.id)) {
+  const auto replicas = provider_->select_replicas(subnet, query.header.id);
+  response.answers.reserve(replicas.size());
+  for (net::Ipv4Addr replica : replicas) {
     response.answers.push_back(dns::ResourceRecord::a(q.name, replica, ttl_));
   }
   return response;

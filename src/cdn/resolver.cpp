@@ -234,7 +234,8 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
       foreign_family ? std::optional<int>(0) : scope);
   response.header.ra = true;
   response.answers = std::move(chain);
-  for (const auto& rr : upstream_reply.answers) response.answers.push_back(rr);
+  response.answers.insert(response.answers.end(), upstream_reply.answers.begin(),
+                          upstream_reply.answers.end());
 
   const auto addresses = response.answer_addresses();
   if (serving_.enable_cache && q.type == dns::RrType::kA && !foreign_family) {

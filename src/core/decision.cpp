@@ -50,9 +50,8 @@ void DecisionEngine::observe(const measure::TrialRecord& trial) {
     // A ratio below vt is the paper's "valley": the hop subnet beat the
     // client's own resolution on this trial.
     if (*ratio < params_.valley_threshold) note("core.engine.valleys_observed");
-    auto [it, inserted] =
-        domain_windows.try_emplace(hop.subnet, TrainingWindow(params_.window_size));
-    it->second.add(*ratio);
+    // try_emplace builds a window only when the subnet is new.
+    domain_windows.try_emplace(hop.subnet, params_.window_size).first->second.add(*ratio);
   }
   if (registry_ != nullptr) {
     registry_->gauge("core.engine.tracked_windows",
@@ -143,8 +142,7 @@ void DecisionEngine::load(std::istream& in) {
     }
     const std::string& domain = fields[1];
     const net::Prefix subnet = net::Prefix::must_parse(fields[2]);
-    auto [it, inserted] =
-        restored[domain].try_emplace(subnet, TrainingWindow(params_.window_size));
+    auto [it, inserted] = restored[domain].try_emplace(subnet, params_.window_size);
     for (std::size_t i = 3; i < fields.size(); ++i) {
       try {
         std::size_t used = 0;

@@ -147,17 +147,26 @@ FaultyTransport::FaultyTransport(DnsTransport* inner, std::uint64_t seed,
 
 void FaultyTransport::set_registry(obs::Registry* registry, std::string_view scope) {
   registry_ = registry;
-  metric_prefix_ = "dns.fault." + std::string(scope) + ".";
+  const std::string prefix = "dns.fault." + std::string(scope) + ".";
+  for (std::size_t k = 0; k < kKinds; ++k) metric_names_[k] = prefix + kKindNames[k];
 }
 
-void FaultyTransport::tally(std::atomic<std::uint64_t>& counter, const char* kind) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-  if (registry_ != nullptr) registry_->add(metric_prefix_ + kind);
+void FaultyTransport::tally(Kind kind) {
+  const auto k = static_cast<std::size_t>(kind);
+  counts_[k].fetch_add(1, std::memory_order_relaxed);
+  if (registry_ != nullptr) registry_->add(metric_names_[k]);
 }
 
 std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
                                                     net::Ipv4Addr destination,
                                                     std::span<const std::uint8_t> query) {
+  if (!profile_.active()) {
+    // No fault can fire: skip the hash, the stream and the draws.
+    std::vector<std::uint8_t> reply = inner_->exchange(source, destination, query);
+    tally(Kind::kClean);
+    return reply;
+  }
+
   // One derived stream per exchange: every decision below is a pure
   // function of (seed, channel, exchange bytes). The rng is local, so
   // short-circuiting after an early fault cannot perturb any other
@@ -170,14 +179,14 @@ std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
     for (const auto& outage : profile_.outages) {
       if (destination == outage.server && now >= outage.start_hours &&
           now < outage.end_hours) {
-        tally(outage_hits_, "outage");
+        tally(Kind::kOutage);
         throw net::UnreachableError("injected outage at " + destination.to_string());
       }
     }
   }
 
   if (rng.chance(profile_.loss_prob)) {
-    tally(losses_, "loss");
+    tally(Kind::kLoss);
     throw net::TimeoutError("injected loss toward " + destination.to_string());
   }
 
@@ -192,11 +201,11 @@ std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
 
   if (decoded_query) {
     if (rng.chance(profile_.servfail_prob)) {
-      tally(servfails_, "servfail");
+      tally(Kind::kServfail);
       return Message::make_response(*decoded_query, Rcode::kServFail).encode();
     }
     if (rng.chance(profile_.refused_prob)) {
-      tally(refusals_, "refused");
+      tally(Kind::kRefused);
       return Message::make_response(*decoded_query, Rcode::kRefused).encode();
     }
     if (decoded_query->edns && decoded_query->edns->client_subnet &&
@@ -204,7 +213,7 @@ std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
       // The recursive drops ECS before resolving: the answer will be
       // tailored to the transport source address instead — assimilation
       // silently neutralized, exactly the measured real-world pathology.
-      tally(ecs_strips_, "ecs_strip");
+      tally(Kind::kEcsStrip);
       Message stripped = *decoded_query;
       stripped.clear_client_subnet();
       forwarded_wire = stripped.encode();
@@ -216,7 +225,7 @@ std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
   std::vector<std::uint8_t> reply = inner_->exchange(source, destination, to_send);
 
   if (rng.chance(profile_.timeout_prob)) {
-    tally(timeouts_, "timeout");
+    tally(Kind::kTimeout);
     throw net::TimeoutError("injected reply loss from " + destination.to_string());
   }
 
@@ -226,21 +235,21 @@ std::vector<std::uint8_t> FaultyTransport::exchange(net::Ipv4Addr source,
   if (truncate || scope_zero) {
     Message response = Message::decode(reply);
     if (truncate) {
-      tally(truncations_, "truncate");
+      tally(Kind::kTruncate);
       response.header.tc = true;
       response.answers.clear();
       response.authority.clear();
       response.additional.clear();
     }
     if (scope_zero && response.edns && response.edns->client_subnet) {
-      tally(scope_zeros_, "scope_zero");
+      tally(Kind::kScopeZero);
       response.edns->client_subnet->scope_prefix_length = 0;
     }
     reply = response.encode();
     touched = true;
   }
 
-  if (!touched) tally(clean_, "clean");
+  if (!touched) tally(Kind::kClean);
   return reply;
 }
 

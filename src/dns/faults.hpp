@@ -10,6 +10,7 @@
 // serial ones even while faults fire.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -130,16 +131,16 @@ class FaultyTransport : public DnsTransport {
 
   // Injected-fault tallies (what the fabric DID, as opposed to the client
   // health counters, which record what the client SAW and how it coped).
-  [[nodiscard]] std::uint64_t losses() const { return losses_.load(); }
-  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_.load(); }
-  [[nodiscard]] std::uint64_t servfails() const { return servfails_.load(); }
-  [[nodiscard]] std::uint64_t refusals() const { return refusals_.load(); }
-  [[nodiscard]] std::uint64_t truncations() const { return truncations_.load(); }
-  [[nodiscard]] std::uint64_t ecs_strips() const { return ecs_strips_.load(); }
-  [[nodiscard]] std::uint64_t scope_zeros() const { return scope_zeros_.load(); }
-  [[nodiscard]] std::uint64_t outage_hits() const { return outage_hits_.load(); }
+  [[nodiscard]] std::uint64_t losses() const { return count(Kind::kLoss); }
+  [[nodiscard]] std::uint64_t timeouts() const { return count(Kind::kTimeout); }
+  [[nodiscard]] std::uint64_t servfails() const { return count(Kind::kServfail); }
+  [[nodiscard]] std::uint64_t refusals() const { return count(Kind::kRefused); }
+  [[nodiscard]] std::uint64_t truncations() const { return count(Kind::kTruncate); }
+  [[nodiscard]] std::uint64_t ecs_strips() const { return count(Kind::kEcsStrip); }
+  [[nodiscard]] std::uint64_t scope_zeros() const { return count(Kind::kScopeZero); }
+  [[nodiscard]] std::uint64_t outage_hits() const { return count(Kind::kOutage); }
   /// Exchanges that passed through entirely clean.
-  [[nodiscard]] std::uint64_t clean_exchanges() const { return clean_.load(); }
+  [[nodiscard]] std::uint64_t clean_exchanges() const { return count(Kind::kClean); }
 
   /// Attaches an obs registry (borrowed; nullptr detaches). Every injected
   /// fault is mirrored as `dns.fault.<scope>.<kind>` — `scope` names the
@@ -149,26 +150,32 @@ class FaultyTransport : public DnsTransport {
   void set_registry(obs::Registry* registry, std::string_view scope);
 
  private:
+  /// What one exchange can be tallied as; indexes counts_ and
+  /// metric_names_, in the order of kKindNames.
+  enum class Kind : std::uint8_t {
+    kOutage, kLoss, kTimeout, kServfail, kRefused, kTruncate, kEcsStrip, kScopeZero, kClean,
+  };
+  static constexpr std::size_t kKinds = 9;
+  static constexpr std::array<const char*, kKinds> kKindNames = {
+      "outage", "loss", "timeout", "servfail", "refused",
+      "truncate", "ecs_strip", "scope_zero", "clean"};
+
+  [[nodiscard]] std::uint64_t count(Kind kind) const {
+    return counts_[static_cast<std::size_t>(kind)].load();
+  }
   /// Bumps a per-instance counter and mirrors it into the registry.
-  void tally(std::atomic<std::uint64_t>& counter, const char* kind);
+  void tally(Kind kind);
 
   DnsTransport* inner_;
   std::uint64_t seed_;
   FaultProfile profile_;
   Channel channel_;
 
-  std::atomic<std::uint64_t> losses_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> servfails_{0};
-  std::atomic<std::uint64_t> refusals_{0};
-  std::atomic<std::uint64_t> truncations_{0};
-  std::atomic<std::uint64_t> ecs_strips_{0};
-  std::atomic<std::uint64_t> scope_zeros_{0};
-  std::atomic<std::uint64_t> outage_hits_{0};
-  std::atomic<std::uint64_t> clean_{0};
+  std::array<std::atomic<std::uint64_t>, kKinds> counts_{};
 
   obs::Registry* registry_ = nullptr;  // borrowed; optional telemetry mirror
-  std::string metric_prefix_;          // "dns.fault.<scope>."
+  // "dns.fault.<scope>.<kind>" per kind, built once by set_registry.
+  std::array<std::string, kKinds> metric_names_;
 };
 
 }  // namespace drongo::dns

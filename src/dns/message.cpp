@@ -1,5 +1,7 @@
 #include "dns/message.hpp"
 
+#include <algorithm>
+
 #include "net/error.hpp"
 
 namespace drongo::dns {
@@ -65,25 +67,51 @@ void write_opt_record(net::ByteWriter& w, const Edns& edns) {
   w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
 }
 
-Edns parse_opt(const ResourceRecord& rr) {
+/// Parses an OPT pseudo-record (RFC 6891) straight from the message reader,
+/// which sits just past the owner name and TYPE: CLASS carries the payload
+/// size, TTL the extended rcode, version and flags, and the options are read
+/// from the RDATA in place, without copying it out first.
+Edns parse_opt(net::ByteReader& r) {
   Edns edns;
-  edns.udp_payload_size = static_cast<std::uint16_t>(rr.klass);
-  edns.extended_rcode = static_cast<std::uint8_t>(rr.ttl >> 24);
-  edns.version = static_cast<std::uint8_t>(rr.ttl >> 16);
-  edns.flags = static_cast<std::uint16_t>(rr.ttl);
-  const auto& raw = std::get<RawRdata>(rr.rdata).bytes;
-  net::ByteReader r(raw);
-  while (r.remaining() > 0) {
-    const std::uint16_t code = r.read_u16();
-    const std::uint16_t len = r.read_u16();
+  edns.udp_payload_size = r.read_u16();
+  const std::uint32_t ttl = r.read_u32();
+  edns.extended_rcode = static_cast<std::uint8_t>(ttl >> 24);
+  edns.version = static_cast<std::uint8_t>(ttl >> 16);
+  edns.flags = static_cast<std::uint16_t>(ttl);
+  const std::uint16_t rdlength = r.read_u16();
+  if (rdlength > r.remaining()) throw net::ParseError("RDATA length overruns message");
+  net::ByteReader options(r.read_span(rdlength));
+  while (options.remaining() > 0) {
+    const std::uint16_t code = options.read_u16();
+    const std::uint16_t len = options.read_u16();
     if (code == kOptionCodeClientSubnet) {
-      edns.client_subnet = ClientSubnet::decode(r, len);
+      edns.client_subnet = ClientSubnet::decode(options, len);
     } else {
-      edns.other_options.push_back({code, r.read_bytes(len)});
+      edns.other_options.push_back({code, options.read_bytes(len)});
     }
   }
   return edns;
 }
+
+/// Whether the reader sits on an OPT record with the root owner name — the
+/// only shape the OPT fast path in decode() parses in place.
+bool at_root_opt(const net::ByteReader& r) {
+  const auto rest = r.buffer().subspan(r.position());
+  return rest.size() >= 3 && rest[0] == 0 &&
+         ((rest[1] << 8) | rest[2]) == static_cast<int>(RrType::kOpt);
+}
+
+/// Capacity to reserve for `count` section entries of at least `min_size`
+/// wire bytes each: the header count, capped by what the remaining bytes
+/// could hold, so a forged count cannot force a huge allocation.
+std::size_t reserve_for(std::uint16_t count, std::size_t remaining, std::size_t min_size) {
+  return std::min<std::size_t>(count, remaining / min_size);
+}
+
+// The smallest question (root name, TYPE, CLASS) and record (root name,
+// TYPE, CLASS, TTL, RDLENGTH, empty RDATA) on the wire.
+constexpr std::size_t kMinQuestionSize = 5;
+constexpr std::size_t kMinRecordSize = 11;
 
 }  // namespace
 
@@ -138,7 +166,11 @@ void Message::clear_client_subnet() {
 }
 
 std::vector<net::Ipv4Addr> Message::answer_addresses() const {
+  const auto is_a = [](const ResourceRecord& rr) {
+    return std::holds_alternative<ARdata>(rr.rdata);
+  };
   std::vector<net::Ipv4Addr> out;
+  out.reserve(static_cast<std::size_t>(std::ranges::count_if(answers, is_a)));
   for (const auto& rr : answers) {
     if (const auto* a = std::get_if<ARdata>(&rr.rdata)) {
       out.push_back(a->address);
@@ -148,15 +180,17 @@ std::vector<net::Ipv4Addr> Message::answer_addresses() const {
 }
 
 std::vector<std::uint8_t> Message::encode() const {
-  std::vector<std::uint8_t> out;
-  encode_to(out);
-  return out;
+  // Encode into this thread's scratch buffer (it keeps its capacity across
+  // calls), then copy out exactly the bytes written: one allocation, and
+  // the returned wire carries no slack for the callers that keep it.
+  thread_local std::vector<std::uint8_t> scratch;
+  encode_to(scratch);
+  return std::vector<std::uint8_t>(scratch.begin(), scratch.end());
 }
 
 void Message::encode_to(std::vector<std::uint8_t>& out) const {
   net::ByteWriter w(std::move(out));
   NameOffsets offsets;
-  offsets.reserve(16);  // a typical reply records a handful of suffixes
 
   const std::size_t additional_count = additional.size() + (edns ? 1 : 0);
   w.write_u16(header.id);
@@ -189,24 +223,27 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
   const std::uint16_t nscount = r.read_u16();
   const std::uint16_t arcount = r.read_u16();
 
+  m.questions.reserve(reserve_for(qdcount, r.remaining(), kMinQuestionSize));
   for (int i = 0; i < qdcount; ++i) {
-    Question q;
+    Question& q = m.questions.emplace_back();
     q.name = DnsName::decode(r);
     q.type = static_cast<RrType>(r.read_u16());
     q.klass = static_cast<RrClass>(r.read_u16());
-    m.questions.push_back(std::move(q));
   }
+  m.answers.reserve(reserve_for(ancount, r.remaining(), kMinRecordSize));
   for (int i = 0; i < ancount; ++i) m.answers.push_back(ResourceRecord::decode(r));
+  m.authority.reserve(reserve_for(nscount, r.remaining(), kMinRecordSize));
   for (int i = 0; i < nscount; ++i) m.authority.push_back(ResourceRecord::decode(r));
   for (int i = 0; i < arcount; ++i) {
-    ResourceRecord rr = ResourceRecord::decode(r);
-    if (rr.type == RrType::kOpt) {
+    if (at_root_opt(r)) {
       if (m.edns) throw net::ParseError("message carries more than one OPT record");
-      if (!rr.name.is_root()) throw net::ParseError("OPT record owner must be root");
-      m.edns = parse_opt(rr);
-    } else {
-      m.additional.push_back(std::move(rr));
+      r.skip(3);  // root owner name and TYPE
+      m.edns = parse_opt(r);
+      continue;
     }
+    ResourceRecord rr = ResourceRecord::decode(r);
+    if (rr.type == RrType::kOpt) throw net::ParseError("OPT record owner must be root");
+    m.additional.push_back(std::move(rr));
   }
   return m;
 }

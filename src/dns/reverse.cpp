@@ -1,31 +1,35 @@
 #include "dns/reverse.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <string_view>
 
 namespace drongo::dns {
 
 DnsName reverse_pointer_name(net::Ipv4Addr address) {
-  std::vector<std::string> labels;
-  labels.reserve(6);
+  // "d.c.b.a.in-addr.arpa": at most 4 * 4 + 12 characters.
+  char text[32];
+  char* end = text;
   for (int i = 3; i >= 0; --i) {
-    labels.push_back(std::to_string(address.octet(i)));
+    end = std::to_chars(end, text + sizeof text, unsigned{address.octet(i)}).ptr;
+    *end++ = '.';
   }
-  labels.emplace_back("in-addr");
-  labels.emplace_back("arpa");
-  return DnsName(std::move(labels));
+  constexpr std::string_view kZone = "in-addr.arpa";
+  end = std::copy(kZone.begin(), kZone.end(), end);
+  return DnsName::must_parse(std::string_view(text, static_cast<std::size_t>(end - text)));
 }
 
 std::optional<net::Ipv4Addr> parse_reverse_pointer(const DnsName& name) {
-  const auto& labels = name.labels();
-  if (labels.size() != 6 || !name.is_subdomain_of(reverse_zone())) {
+  if (name.label_count() != 6 || !name.is_subdomain_of(reverse_zone())) {
     return std::nullopt;
   }
   std::uint32_t bits = 0;
-  for (int i = 0; i < 4; ++i) {
-    const std::string& label = labels[static_cast<std::size_t>(i)];
+  auto label = name.labels().begin();
+  for (int i = 0; i < 4; ++i, ++label) {
+    const std::string_view text = *label;
     unsigned octet = 0;
-    auto [ptr, ec] = std::from_chars(label.data(), label.data() + label.size(), octet);
-    if (ec != std::errc{} || ptr != label.data() + label.size() || octet > 255) {
+    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), octet);
+    if (ec != std::errc{} || ptr != text.data() + text.size() || octet > 255) {
       return std::nullopt;
     }
     // Labels are least-significant octet first.

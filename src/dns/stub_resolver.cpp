@@ -30,22 +30,30 @@ namespace {
 /// the question byte-for-byte, so an off-path spoofer must guess the casing
 /// along with the id.
 DnsName randomize_name_case(const DnsName& name, net::Rng& rng) {
-  std::vector<std::string> labels = name.labels();
-  for (auto& label : labels) {
-    for (char& c : label) {
-      if (c >= 'a' && c <= 'z' && rng.chance(0.5)) {
-        c = static_cast<char>(c - 'a' + 'A');
-      } else if (c >= 'A' && c <= 'Z' && rng.chance(0.5)) {
-        c = static_cast<char>(c - 'A' + 'a');
-      }
-    }
-  }
-  return DnsName(std::move(labels));
+  return name.with_swapped_case([&rng] { return rng.chance(0.5); });
 }
 
 /// Byte-exact name comparison (DnsName::operator== is case-insensitive).
 bool same_bytes(const DnsName& a, const DnsName& b) {
-  return a.labels() == b.labels();
+  return std::ranges::equal(a.wire(), b.wire());
+}
+
+/// The checks every reply must pass before its answer is used. A reply that
+/// fails them is what a late, duplicated, or spoofed datagram looks like:
+/// a real stub would discard it and keep listening, and the caller's retry
+/// (with a fresh id) is the closest synchronous equivalent, so failures are
+/// classified transient.
+void validate_reply(const Message& reply, std::uint16_t id, const DnsName& name) {
+  if (reply.header.id != id) {
+    throw net::TransientError("DNS response id mismatch: sent " + std::to_string(id) +
+                              ", got " + std::to_string(reply.header.id));
+  }
+  if (!reply.header.qr) {
+    throw net::TransientError("DNS response QR bit not set");
+  }
+  if (reply.questions.size() != 1 || !(reply.questions[0].name == name)) {
+    throw net::TransientError("DNS response question does not echo query");
+  }
 }
 
 /// Metric name for the rcode class a finished resolution ended in.
@@ -104,20 +112,7 @@ ResolutionResult StubResolver::attempt(const DnsName& name,
     used_tcp = true;
   }
 
-  // Validation failures are classified transient: a reply that fails these
-  // checks is what a late, duplicated, or spoofed datagram looks like, and
-  // a real stub would discard it and keep listening — our retry (with a
-  // fresh id and casing) is the closest synchronous equivalent.
-  if (reply.header.id != id) {
-    throw net::TransientError("DNS response id mismatch: sent " + std::to_string(id) +
-                              ", got " + std::to_string(reply.header.id));
-  }
-  if (!reply.header.qr) {
-    throw net::TransientError("DNS response QR bit not set");
-  }
-  if (reply.questions.size() != 1 || !(reply.questions[0].name == name)) {
-    throw net::TransientError("DNS response question does not echo query");
-  }
+  validate_reply(reply, id, name);
   if (randomize_case_ && !same_bytes(reply.questions[0].name, sent_name)) {
     throw net::TransientError("DNS response failed 0x20 case check (possible spoofing)");
   }
@@ -213,15 +208,18 @@ std::string StubResolver::resolve_ptr(net::Ipv4Addr address) {
   // PTR data is best-effort (real traceroutes show plenty of hops without
   // names): retry transient failures within the same budget, then degrade
   // to "no name" rather than failing the trial that asked.
+  // Replies pass the same validation as A lookups: a late or spoofed
+  // datagram must not get to name a traceroute hop.
+  const DnsName ptr_name = reverse_pointer_name(address);
   for (int attempt_no = 0; attempt_no < config_.max_attempts; ++attempt_no) {
     if (attempt_no > 0) DRONGO_RESOLVER_TALLY(retries);
     const auto id = static_cast<std::uint16_t>(rng_.uniform(0x10000));
-    const Message query =
-        Message::make_query(id, reverse_pointer_name(address), std::nullopt, RrType::kPtr);
+    const Message query = Message::make_query(id, ptr_name, std::nullopt, RrType::kPtr);
     DRONGO_RESOLVER_TALLY(queries);
     try {
       const auto reply_wire = transport_->exchange(client_, server_, query.encode());
       const Message reply = Message::decode(reply_wire);
+      validate_reply(reply, id, ptr_name);
       for (const auto& rr : reply.answers) {
         if (const auto* ptr = std::get_if<PtrRdata>(&rr.rdata)) {
           return ptr->name.to_string();

@@ -179,7 +179,9 @@ class StubResolver {
 
   /// Reverse lookup: the PTR name of `address`, or empty when no PTR
   /// record exists (private or unknown space) — or when the lookup kept
-  /// failing transiently; PTR data is best-effort by contract.
+  /// failing transiently; PTR data is best-effort by contract. Replies are
+  /// validated like A lookups (id, QR bit, echoed question); a failed check
+  /// counts as a validation failure and is retried within max_attempts.
   std::string resolve_ptr(net::Ipv4Addr address);
 
   [[nodiscard]] net::Ipv4Addr client_address() const { return client_; }

@@ -53,6 +53,13 @@ std::vector<std::uint8_t> ByteReader::read_bytes(std::size_t n) {
   return out;
 }
 
+std::span<const std::uint8_t> ByteReader::read_span(std::size_t n) {
+  require(n);
+  const auto out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 std::string ByteReader::read_string(std::size_t n) {
   require(n);
   std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);

@@ -43,6 +43,9 @@ class ByteReader {
   /// Reads `n` raw bytes.
   std::vector<std::uint8_t> read_bytes(std::size_t n);
 
+  /// Reads `n` raw bytes as a view into the underlying buffer (no copy).
+  std::span<const std::uint8_t> read_span(std::size_t n);
+
   /// Reads `n` bytes as a string.
   std::string read_string(std::size_t n);
 

@@ -1,7 +1,7 @@
 #include "topology/routing.hpp"
 
 #include <limits>
-#include <mutex>
+#include <memory>
 #include <queue>
 #include <tuple>
 
@@ -29,35 +29,30 @@ struct Key {
 
 }  // namespace
 
-BgpRouting::BgpRouting(const AsGraph* graph) : graph_(graph) {
+BgpRouting::BgpRouting(const AsGraph* graph)
+    : graph_(graph), nodes_(graph == nullptr ? 0 : graph->node_count()) {
   if (graph_ == nullptr) throw net::InvalidArgument("null AsGraph");
+  tables_.reset(static_cast<RouteEntry*>(::operator new(nodes_ * nodes_ * sizeof(RouteEntry))));
+  computed_ = std::make_unique<std::once_flag[]>(nodes_);
 }
 
-const std::vector<RouteEntry>& BgpRouting::table_for(std::size_t dst) {
-  {
-    std::shared_lock lock(mutex_);
-    auto it = tables_.find(dst);
-    if (it != tables_.end()) return it->second;
-  }
-  // Compute outside the lock: the table is a pure function of the immutable
-  // graph, so two workers racing on the same destination produce identical
-  // tables and try_emplace keeps whichever landed first. References to map
-  // elements stay valid across rehashing, so returning one is safe even
-  // while other destinations are being inserted.
-  auto table = compute(dst);
-  std::unique_lock lock(mutex_);
-  return tables_.try_emplace(dst, std::move(table)).first->second;
+std::span<const RouteEntry> BgpRouting::table_for(std::size_t dst) {
+  if (dst >= nodes_) throw net::InvalidArgument("destination node out of range");
+  const std::span<RouteEntry> row(tables_.get() + dst * nodes_, nodes_);
+  std::call_once(computed_[dst], [&] {
+    std::uninitialized_default_construct(row.begin(), row.end());
+    compute(dst, row);
+    cached_.fetch_add(1, std::memory_order_relaxed);
+  });
+  return row;
 }
 
 std::size_t BgpRouting::cached_destinations() const {
-  std::shared_lock lock(mutex_);
-  return tables_.size();
+  return cached_.load(std::memory_order_relaxed);
 }
 
-std::vector<RouteEntry> BgpRouting::compute(std::size_t dst) const {
-  const std::size_t n = graph_->node_count();
-  if (dst >= n) throw net::InvalidArgument("destination node out of range");
-  std::vector<RouteEntry> table(n);
+void BgpRouting::compute(std::size_t dst, std::span<RouteEntry> table) const {
+  const std::size_t n = table.size();
   std::vector<Key> keys(n);
 
   auto min_latency_between = [&](std::size_t a, std::size_t b) {
@@ -149,12 +144,10 @@ std::vector<RouteEntry> BgpRouting::compute(std::size_t dst) const {
       }
     }
   }
-
-  return table;
 }
 
 std::vector<std::size_t> BgpRouting::as_path(std::size_t src, std::size_t dst) {
-  const auto& table = table_for(dst);
+  const auto table = table_for(dst);
   if (src >= table.size() || table[src].cls == RouteClass::kNone) return {};
   std::vector<std::size_t> path{src};
   std::size_t v = src;
@@ -169,7 +162,7 @@ std::vector<std::size_t> BgpRouting::as_path(std::size_t src, std::size_t dst) {
 }
 
 std::vector<std::size_t> BgpRouting::link_path(std::size_t src, std::size_t dst) {
-  const auto& table = table_for(dst);
+  const auto table = table_for(dst);
   if (src >= table.size() || table[src].cls == RouteClass::kNone) return {};
   std::vector<std::size_t> links;
   std::size_t v = src;
@@ -184,7 +177,7 @@ std::vector<std::size_t> BgpRouting::link_path(std::size_t src, std::size_t dst)
 }
 
 bool BgpRouting::reachable(std::size_t src, std::size_t dst) {
-  const auto& table = table_for(dst);
+  const auto table = table_for(dst);
   return src < table.size() && table[src].cls != RouteClass::kNone;
 }
 

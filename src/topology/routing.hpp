@@ -1,9 +1,11 @@
 // Valley-free (Gao-Rexford) AS-level routing with BGP-style preferences.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
-#include <unordered_map>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "topology/as_graph.hpp"
@@ -43,14 +45,15 @@ struct RouteEntry {
 class BgpRouting {
  public:
   /// The graph is borrowed and must outlive the router. The graph must not
-  /// be mutated after construction (tables are cached).
+  /// be mutated after construction (tables are cached, and their storage is
+  /// sized for the node count at construction).
   explicit BgpRouting(const AsGraph* graph);
 
   /// Full routing table toward `dst` (indexed by node). Computed on first
-  /// use, cached thereafter. Safe to call from multiple threads: the cache
-  /// is a pure acceleration, so concurrent misses recompute identical
-  /// tables and the first insert wins.
-  const std::vector<RouteEntry>& table_for(std::size_t dst);
+  /// use, cached thereafter. Safe to call from multiple threads: the first
+  /// caller for a destination computes its table and concurrent callers for
+  /// the same destination wait for it.
+  std::span<const RouteEntry> table_for(std::size_t dst);
 
   /// AS-level path src -> dst inclusive of both ends; empty when
   /// unreachable or src == dst is returned as {src}.
@@ -65,11 +68,23 @@ class BgpRouting {
   [[nodiscard]] std::size_t cached_destinations() const;
 
  private:
-  std::vector<RouteEntry> compute(std::size_t dst) const;
+  struct FreeStorage {
+    void operator()(RouteEntry* storage) const { ::operator delete(storage); }
+  };
+
+  /// Fills `table` (default-constructed entries, one per node) with the
+  /// routes toward `dst`.
+  void compute(std::size_t dst, std::span<RouteEntry> table) const;
 
   const AsGraph* graph_;
-  mutable std::shared_mutex mutex_;  ///< guards tables_
-  std::unordered_map<std::size_t, std::vector<RouteEntry>> tables_;
+  std::size_t nodes_;
+  /// nodes_ x nodes_ entries; row `dst` is the table toward dst. Allocated
+  /// whole but left untouched at construction, so every table lives in one
+  /// block owned by the router, not in the heap of whichever thread first
+  /// asked for it, and a row's pages only become resident once computed.
+  std::unique_ptr<RouteEntry, FreeStorage> tables_;
+  std::unique_ptr<std::once_flag[]> computed_;  ///< one per row
+  std::atomic<std::size_t> cached_{0};          ///< rows computed so far
 };
 
 }  // namespace drongo::topology

@@ -1,0 +1,211 @@
+// Allocation budget for the simulated DNS path. The binary replaces the
+// global operator new/delete with counting versions, so each test can
+// assert how many heap allocations one operation makes on this thread:
+// names within DnsName's inline capacity never allocate, an encode
+// allocates exactly its wire, a resolution through a Testbed stays within
+// a pinned budget, and a training window's add() never allocates.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "core/window.hpp"
+#include "dns/message.hpp"
+#include "measure/testbed.hpp"
+
+namespace {
+thread_local std::uint64_t t_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++t_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_alloc_or_throw(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  ++t_allocations;
+  void* p = nullptr;
+  const std::size_t alignment = std::max(static_cast<std::size_t>(align), sizeof(void*));
+  if (posix_memalign(&p, alignment, size == 0 ? 1 : size) != 0) return nullptr;
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace drongo {
+namespace {
+
+/// Heap allocations this thread makes while running `body`.
+template <typename Body>
+std::uint64_t allocations_in(Body&& body) {
+  const std::uint64_t before = t_allocations;
+  body();
+  return t_allocations - before;
+}
+
+/// A presentation name whose wire form is exactly `wire_length` bytes:
+/// 63-byte labels, the last one shorter.
+std::string name_text(std::size_t wire_length) {
+  std::string text;
+  std::size_t left = wire_length - 1;  // minus the root byte
+  char fill = 'a';
+  while (left > 0) {
+    std::size_t label = std::min<std::size_t>(dns::DnsName::kMaxLabelLength, left - 1);
+    if (left - (label + 1) == 1) --label;  // never leave room for just a length byte
+    if (!text.empty()) text.push_back('.');
+    text.append(label, fill++);
+    left -= label + 1;
+  }
+  return text;
+}
+
+TEST(AllocBudgetTest, CounterSeesHeapAllocations) {
+  std::vector<int> v;
+  EXPECT_EQ(allocations_in([&] { v.resize(100); }), 1u);
+  EXPECT_EQ(allocations_in([&] { v.resize(50); }), 0u);
+}
+
+TEST(AllocBudgetTest, NamesWithinInlineCapacityDoNotAllocate) {
+  for (const std::size_t length : {std::size_t{3}, std::size_t{20},
+                                   dns::DnsName::kInlineCapacity - 1,
+                                   dns::DnsName::kInlineCapacity}) {
+    const std::string text = name_text(length);
+    net::ByteWriter w;
+    dns::DnsName::must_parse(text).encode(w);
+    const std::vector<std::uint8_t> wire = w.take();
+    const std::string upper = [&] {
+      std::string s = text;
+      for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      return s;
+    }();
+
+    const std::uint64_t n = allocations_in([&] {
+      const auto parsed = dns::DnsName::parse(text);
+      const auto shouted = dns::DnsName::parse(upper);
+      net::ByteReader r(wire);
+      const dns::DnsName decoded = dns::DnsName::decode(r);
+      dns::DnsName copy = decoded;
+      dns::DnsName moved = std::move(copy);
+      copy = moved;
+      EXPECT_EQ(decoded, *parsed);
+      EXPECT_EQ(*shouted, decoded);
+      EXPECT_EQ(*shouted <=> decoded, std::strong_ordering::equal);
+      EXPECT_EQ(std::hash<dns::DnsName>{}(*shouted), std::hash<dns::DnsName>{}(decoded));
+      EXPECT_TRUE(decoded.is_subdomain_of(decoded.parent()));
+      EXPECT_EQ(decoded.wire_length(), length);
+    });
+    EXPECT_EQ(n, 0u) << "wire length " << length;
+  }
+}
+
+TEST(AllocBudgetTest, NamesPastInlineCapacityTakeOneBlock) {
+  const auto name = dns::DnsName::must_parse(name_text(dns::DnsName::kInlineCapacity + 1));
+  EXPECT_EQ(allocations_in([&] { const dns::DnsName copy = name; }), 1u);
+  EXPECT_EQ(allocations_in([&] {
+              dns::DnsName source = name;
+              const dns::DnsName moved = std::move(source);  // steals the block
+            }),
+            1u);
+}
+
+TEST(AllocBudgetTest, EncodeAllocatesOnceAndExactly) {
+  const auto name = dns::DnsName::must_parse("img.googlecdn.sim");
+  const dns::Message query =
+      dns::Message::make_query(7, name, net::Prefix::must_parse("20.1.36.0/24"));
+  dns::Message response = dns::Message::make_response(query, dns::Rcode::kNoError, 24);
+  for (int i = 0; i < 4; ++i) {
+    response.answers.push_back(dns::ResourceRecord::a(name, net::Ipv4Addr(21, 8, 84, 10 + i)));
+  }
+  for (const dns::Message* m : {&query, const_cast<const dns::Message*>(&response)}) {
+    (void)m->encode();  // the thread's scratch buffer grows on first use
+    std::vector<std::uint8_t> wire;
+    EXPECT_EQ(allocations_in([&] { wire = m->encode(); }), 1u);
+    EXPECT_EQ(wire.capacity(), wire.size());
+  }
+}
+
+TEST(AllocBudgetTest, ResolutionsThroughATestbedStayWithinBudget) {
+  measure::TestbedConfig config;
+  config.as_config.tier1_count = 4;
+  config.as_config.tier2_count = 8;
+  config.as_config.stub_count = 20;
+  config.client_count = 2;
+  config.seed = 121;
+  measure::Testbed testbed(config);
+  const net::Ipv4Addr client = testbed.clients()[0];
+  const dns::DnsName& name = testbed.content_names(0).front();
+  const net::Ipv4Addr router(testbed.world().block_of(0).network().to_uint() | 1u);
+  auto stub = testbed.make_stub(client, 1);
+  // Warm the per-key memos (mapping table, RTTs) and the encode scratch.
+  ASSERT_TRUE(stub.resolve_with_own_subnet(name).ok());
+  ASSERT_FALSE(stub.resolve_ptr(router).empty());
+
+  // Pinned from the measured counts. Both hops (stub -> resolver ->
+  // authoritative) build, encode and decode a message each way: four
+  // encodes (one exact-size wire each), eight question vectors, the answer
+  // sections that hold records, and the result (A: the replica list and
+  // the address vectors; PTR: the name strings). A regression in any
+  // layer's heap traffic trips this.
+  constexpr std::uint64_t kResolveBudget = 21;
+  constexpr std::uint64_t kPtrBudget = 18;
+  const std::uint64_t resolve = allocations_in([&] {
+    EXPECT_TRUE(stub.resolve_with_own_subnet(name).ok());
+  });
+  const std::uint64_t ptr = allocations_in([&] { EXPECT_FALSE(stub.resolve_ptr(router).empty()); });
+  EXPECT_LE(resolve, kResolveBudget);
+  EXPECT_LE(ptr, kPtrBudget);
+  std::cout << "allocations: A resolution " << resolve << ", PTR resolution " << ptr << "\n";
+}
+
+TEST(AllocBudgetTest, TrainingWindowAddDoesNotAllocate) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{5},
+                                     core::TrainingWindow::kInlineCapacity,
+                                     core::TrainingWindow::kInlineCapacity + 12}) {
+    core::TrainingWindow window(capacity);
+    const std::uint64_t n = allocations_in([&] {
+      for (int i = 0; i < 40; ++i) window.add(0.5 + 0.01 * i);
+    });
+    EXPECT_EQ(n, 0u) << "capacity " << capacity;
+    EXPECT_EQ(window.size(), capacity);
+    EXPECT_DOUBLE_EQ(window.ratios().back(), 0.5 + 0.01 * 39);
+  }
+}
+
+}  // namespace
+}  // namespace drongo

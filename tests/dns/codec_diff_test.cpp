@@ -8,6 +8,7 @@
 // test below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <map>
@@ -29,16 +30,15 @@ using ReferenceOffsets = std::map<std::string, std::uint16_t, std::less<>>;
 
 void reference_encode_name(const DnsName& name, net::ByteWriter& writer,
                            ReferenceOffsets& offsets) {
-  const auto& labels = name.labels();
   std::string canonical;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i != 0) canonical.push_back('.');
-    for (const char c : labels[i]) {
+  for (const std::string_view label : name.labels()) {
+    if (!canonical.empty()) canonical.push_back('.');
+    for (const char c : label) {
       canonical.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
     }
   }
   std::size_t suffix_start = 0;
-  for (const auto& label : labels) {
+  for (const std::string_view label : name.labels()) {
     const std::string_view suffix = std::string_view(canonical).substr(suffix_start);
     if (auto it = offsets.find(suffix); it != offsets.end()) {
       writer.write_u16(static_cast<std::uint16_t>(0xC000 | it->second));
@@ -148,7 +148,8 @@ class NameSource {
   DnsName under(const DnsName& zone) {
     std::vector<std::string> labels(1 + rng_.index(3));
     for (auto& l : labels) l = label();
-    labels.insert(labels.end(), zone.labels().begin(), zone.labels().end());
+    const DnsName::Labels zone_labels = zone.labels();
+    labels.insert(labels.end(), zone_labels.begin(), zone_labels.end());
     return DnsName(std::move(labels));
   }
 
@@ -237,6 +238,53 @@ TEST_P(CodecCorpus, OffsetListEncoderMatchesReferenceByteForByte) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecCorpus, ::testing::Values(1, 2, 3, 5, 8, 13));
+
+/// A name of exactly `wire_length` wire bytes under `zone`: 63-byte labels
+/// (the last one shorter) with letters in a random case mix.
+DnsName edge_name(std::size_t wire_length, const DnsName& zone, net::Rng& rng) {
+  std::vector<std::string> labels;
+  std::size_t left = wire_length - zone.wire_length();
+  while (left > 0) {
+    std::size_t size = std::min<std::size_t>(DnsName::kMaxLabelLength, left - 1);
+    if (left - (size + 1) == 1) --size;  // never leave room for just a length byte
+    std::string label(size, static_cast<char>('a' + labels.size()));
+    for (char& c : label) {
+      if (rng.chance(0.5)) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    labels.push_back(std::move(label));
+    left -= size + 1;
+  }
+  const DnsName::Labels zone_labels = zone.labels();
+  labels.insert(labels.end(), zone_labels.begin(), zone_labels.end());
+  return DnsName(labels);
+}
+
+TEST(CodecTest, NamesAtTheInlineEdgeMatchTheReference) {
+  // Names one byte under, at and over DnsName's inline capacity, and the
+  // 255-byte maximum, sharing suffixes in mixed case: compression probes
+  // then compare inline names against heap names and back.
+  constexpr std::size_t kEdge = DnsName::kInlineCapacity;
+  const std::size_t sizes[] = {kEdge - 1, kEdge, kEdge + 1, DnsName::kMaxWireLength};
+  net::Rng rng(21);
+  const DnsName zone = DnsName::must_parse("Edge.CDN.sim");
+  const auto any_size = [&] { return sizes[rng.index(std::size(sizes))]; };
+  for (int i = 0; i < 200; ++i) {
+    Message m;
+    m.header.id = static_cast<std::uint16_t>(i);
+    m.header.qr = true;
+    const DnsName qname = edge_name(any_size(), zone, rng);
+    m.questions.push_back({qname, RrType::kA, RrClass::kIn});
+    const DnsName target = edge_name(any_size(), zone, rng);
+    m.answers.push_back(ResourceRecord::cname(qname, target));
+    m.answers.push_back(ResourceRecord::a(target, net::Ipv4Addr(21, 8, 84, 10)));
+    m.answers.push_back(ResourceRecord::ptr(edge_name(any_size(), zone, rng), qname));
+    m.authority.push_back(ResourceRecord::ns(zone, edge_name(any_size(), zone, rng)));
+    if (rng.chance(0.5)) m.edns = Edns{};
+    const auto wire = m.encode();
+    ASSERT_EQ(wire, reference_encode(m)) << "message " << i;
+    expect_same(Message::decode(wire), m);
+  }
+}
 
 TEST(CodecTest, RepeatedLabelsCompressLikeTheReference) {
   // Every suffix of a.a.a starts with the label "a", so probes start at

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "net/error.hpp"
 
 namespace drongo::dns {
@@ -136,6 +141,158 @@ TEST(DnsNameTest, OrderingIsCaseInsensitiveLexicographic) {
   EXPECT_EQ(DnsName::must_parse("AAA.com") <=> DnsName::must_parse("aaa.COM"),
             std::strong_ordering::equal);
   EXPECT_LT(DnsName::must_parse("a.com"), DnsName::must_parse("a.com.extra"));
+}
+
+// ---- Inline/heap storage edges ----------------------------------------------
+
+/// A presentation name whose wire form is exactly `wire_length` bytes, made
+/// of 63-byte labels (the last one shorter).
+std::string sized_name(std::size_t wire_length) {
+  std::string text;
+  std::size_t left = wire_length - 1;  // minus the root byte
+  char fill = 'a';
+  while (left > 0) {
+    std::size_t label = std::min<std::size_t>(DnsName::kMaxLabelLength, left - 1);
+    if (left - (label + 1) == 1) --label;  // never leave room for just a length byte
+    if (!text.empty()) text.push_back('.');
+    text.append(label, fill++);
+    left -= label + 1;
+  }
+  return text;
+}
+
+class NameAtInlineEdge : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(NameAtInlineEdge, ParsesEncodesAndDecodesAtEveryLength) {
+  const std::string text = sized_name(GetParam());
+  const DnsName name = DnsName::must_parse(text);
+  EXPECT_EQ(name.wire_length(), GetParam());
+  EXPECT_EQ(name.wire().size(), GetParam());
+  EXPECT_EQ(name.to_string(), text);
+  net::ByteWriter w;
+  name.encode(w);
+  const auto bytes = w.take();
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), name.wire().begin(), name.wire().end()));
+  net::ByteReader r(bytes);
+  const DnsName back = DnsName::decode(r);
+  EXPECT_EQ(back, name);
+  EXPECT_EQ(back.to_string(), text);
+  EXPECT_EQ(back.label_count(), name.label_count());
+  const std::size_t dot = text.find('.');
+  EXPECT_EQ(back.parent(),
+            dot == std::string::npos ? DnsName() : DnsName::must_parse(text.substr(dot + 1)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, NameAtInlineEdge,
+    ::testing::Values(DnsName::kInlineCapacity - 1, DnsName::kInlineCapacity,
+                      DnsName::kInlineCapacity + 1, DnsName::kMaxWireLength));
+
+TEST(DnsNameTest, MaximumNameFromFullLabels) {
+  // 3 x 63-byte labels + a 61-byte label: 3 * 64 + 62 + 1 = 255 bytes.
+  const std::string text = sized_name(DnsName::kMaxWireLength);
+  const DnsName name = DnsName::must_parse(text);
+  std::vector<std::string> labels(name.labels().begin(), name.labels().end());
+  EXPECT_EQ(labels.size(), 4u);
+  EXPECT_EQ(labels.front().size(), 63u);
+  EXPECT_EQ(labels.back().size(), 61u);
+  EXPECT_FALSE(DnsName::parse("x" + text).has_value());  // 256 bytes
+  EXPECT_EQ(DnsName(labels), name);
+  labels.back().push_back('x');
+  EXPECT_THROW(DnsName{labels}, net::ParseError);
+}
+
+TEST(DnsNameTest, MixedCaseAcrossTheInlineBoundary) {
+  // One heap-sized name twice, the letters on either side of the inline
+  // capacity in opposite cases.
+  const std::string text = std::string(50, 'a') + ".bbbbbbbbbbbb.cdn.sim";
+  std::string shouted = text;
+  for (std::size_t i = DnsName::kInlineCapacity - 8; i < DnsName::kInlineCapacity + 8; ++i) {
+    if (shouted[i] != '.') shouted[i] = static_cast<char>(shouted[i] - 'a' + 'A');
+  }
+  const auto lower = DnsName::must_parse(text);
+  const auto mixed = DnsName::must_parse(shouted);
+  ASSERT_GT(lower.wire_length(), DnsName::kInlineCapacity);
+  EXPECT_NE(lower.to_string(), mixed.to_string());
+  EXPECT_EQ(lower, mixed);
+  EXPECT_EQ(lower <=> mixed, std::strong_ordering::equal);
+  EXPECT_EQ(std::hash<DnsName>{}(lower), std::hash<DnsName>{}(mixed));
+  EXPECT_EQ(lower.canonical(), text);
+  EXPECT_EQ(mixed.canonical(), text);
+  // Its parent is inline: the subdomain relation and compression both
+  // cross storage kinds, case-insensitively.
+  const DnsName suffix = mixed.parent();
+  ASSERT_LE(suffix.wire_length(), DnsName::kInlineCapacity);
+  EXPECT_TRUE(lower.is_subdomain_of(suffix));
+  EXPECT_FALSE(suffix.is_subdomain_of(lower));
+  NameOffsets offsets;
+  net::ByteWriter w;
+  suffix.encode(w, &offsets);
+  const std::size_t first = w.size();
+  lower.encode(w, &offsets);
+  EXPECT_EQ(w.size() - first, 1u + 50u + 2u);  // the first label, then a pointer
+}
+
+TEST(DnsNameTest, CopyMoveAndSelfAssignmentAcrossStorage) {
+  const DnsName small = DnsName::must_parse("img.cdn.sim");
+  const DnsName big = DnsName::must_parse(sized_name(DnsName::kInlineCapacity + 1));
+  const DnsName bigger = DnsName::must_parse(sized_name(DnsName::kMaxWireLength));
+
+  DnsName a = small;
+  a = big;  // inline <- heap
+  EXPECT_EQ(a, big);
+  a = bigger;  // heap <- larger heap
+  EXPECT_EQ(a, bigger);
+  a = bigger;  // heap <- same-size heap
+  EXPECT_EQ(a, bigger);
+  a = small;  // heap <- inline
+  EXPECT_EQ(a, small);
+  EXPECT_EQ(a.to_string(), "img.cdn.sim");
+
+  DnsName b = big;
+  DnsName c = std::move(b);  // heap move steals the block
+  EXPECT_EQ(c, big);
+  b = small;  // a moved-from name is assignable
+  EXPECT_EQ(b, small);
+  DnsName d = small;
+  d = std::move(c);  // inline <- heap by move
+  EXPECT_EQ(d, big);
+  c = std::move(d);
+  EXPECT_EQ(c, big);
+  DnsName e = std::move(b);  // inline move
+  EXPECT_EQ(e, small);
+
+  DnsName& self = c;
+  c = self;  // self copy-assignment
+  EXPECT_EQ(c, big);
+  c = std::move(self);  // self move-assignment
+  EXPECT_EQ(c, big);
+  DnsName& small_self = e;
+  e = small_self;
+  e = std::move(small_self);
+  EXPECT_EQ(e, small);
+}
+
+TEST(DnsNameTest, LabelViews) {
+  const DnsName name = DnsName::must_parse("www.Example.com");
+  const std::vector<std::string_view> labels(name.labels().begin(), name.labels().end());
+  EXPECT_EQ(labels, (std::vector<std::string_view>{"www", "Example", "com"}));
+  EXPECT_EQ(name.labels().size(), 3u);
+  EXPECT_EQ(name.labels().front(), "www");
+  EXPECT_TRUE(DnsName().labels().empty());
+}
+
+TEST(DnsNameTest, SwappedCaseKeepsEqualityAndFlipsOnlyLetters) {
+  const DnsName name = DnsName::must_parse("a-1.B2.cdn");
+  const DnsName swapped = name.with_swapped_case([] { return true; });
+  EXPECT_EQ(swapped.to_string(), "A-1.b2.CDN");
+  EXPECT_EQ(swapped, name);
+  int letters = 0;
+  (void)name.with_swapped_case([&letters] {
+    ++letters;
+    return false;
+  });
+  EXPECT_EQ(letters, 5);
 }
 
 class NameRoundTrip : public ::testing::TestWithParam<const char*> {};

@@ -1,6 +1,8 @@
 // In-memory transport, stub resolver, cache, and LDNS proxy tests.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "dns/cache.hpp"
 #include "dns/inmemory.hpp"
 #include "dns/proxy.hpp"
@@ -351,6 +353,92 @@ TEST_F(ResolverFixture, PermanentDecodeErrorPropagatesWithoutRetry) {
   EXPECT_THROW(stub.resolve("img.cdn.sim"), net::PermanentError);
   EXPECT_EQ(garbage.exchanges, 1);  // permanent: retrying cannot help
   EXPECT_EQ(stub.stats().retries, 0u);
+}
+
+// ---- PTR reply validation ---------------------------------------------------
+
+/// Answers every PTR query with one fixed hop name.
+class PtrServer : public DnsServer {
+ public:
+  Message handle(const Message& query, net::Ipv4Addr) override {
+    Message response = Message::make_response(query);
+    response.answers.push_back(ResourceRecord::ptr(
+        query.questions[0].name, DnsName::must_parse("core1.paris.transit.example")));
+    return response;
+  }
+};
+
+/// Rewrites the first `bad` replies with `tamper`, then passes replies
+/// through untouched: a late or spoofed datagram that beats the genuine one.
+class TamperingTransport : public DnsTransport {
+ public:
+  TamperingTransport(DnsTransport* inner, int bad, std::function<void(Message&)> tamper)
+      : inner_(inner), bad_(bad), tamper_(std::move(tamper)) {}
+  std::vector<std::uint8_t> exchange(net::Ipv4Addr source, net::Ipv4Addr destination,
+                                     std::span<const std::uint8_t> query) override {
+    std::vector<std::uint8_t> reply = inner_->exchange(source, destination, query);
+    if (bad_ == 0) return reply;
+    --bad_;
+    Message m = Message::decode(reply);
+    tamper_(m);
+    return m.encode();
+  }
+
+ private:
+  DnsTransport* inner_;
+  int bad_;
+  std::function<void(Message&)> tamper_;
+};
+
+class PtrValidationFixture : public ResolverFixture {
+ protected:
+  void SetUp() override {
+    ResolverFixture::SetUp();
+    network.register_server(ptr_addr, &ptr_server);
+  }
+
+  PtrServer ptr_server;
+  const net::Ipv4Addr ptr_addr{net::Ipv4Addr(9, 9, 9, 20)};
+  const net::Ipv4Addr hop{net::Ipv4Addr(20, 23, 4, 2)};
+};
+
+TEST_F(PtrValidationFixture, CleanReplyNamesTheHop) {
+  StubResolver stub(&network, client_addr, ptr_addr);
+  EXPECT_EQ(stub.resolve_ptr(hop), "core1.paris.transit.example");
+  EXPECT_EQ(stub.stats().queries, 1u);
+  EXPECT_EQ(stub.stats().validation_failures, 0u);
+}
+
+TEST_F(PtrValidationFixture, WrongIdReplyIsDiscardedAndRetried) {
+  TamperingTransport wrong_id(&network, 1, [](Message& m) { m.header.id ^= 0x5A5A; });
+  StubResolver stub(&wrong_id, client_addr, ptr_addr);
+  EXPECT_EQ(stub.resolve_ptr(hop), "core1.paris.transit.example");
+  EXPECT_EQ(stub.stats().validation_failures, 1u);
+  EXPECT_EQ(stub.stats().retries, 1u);
+  EXPECT_EQ(stub.stats().queries, 2u);
+  EXPECT_EQ(stub.stats().failed_queries, 0u);
+}
+
+TEST_F(PtrValidationFixture, ReplyToAnotherQuestionNeverNamesTheHop) {
+  // Every attempt gets an answer for a different address's PTR name.
+  TamperingTransport other_question(&network, 3, [](Message& m) {
+    const DnsName other = DnsName::must_parse("1.0.0.10.in-addr.arpa");
+    m.questions[0].name = other;
+    m.answers = {ResourceRecord::ptr(other, DnsName::must_parse("spoofed.example"))};
+  });
+  StubResolver stub(&other_question, client_addr, ptr_addr);
+  ASSERT_EQ(stub.config().max_attempts, 3);
+  EXPECT_EQ(stub.resolve_ptr(hop), "");
+  EXPECT_EQ(stub.stats().validation_failures, 3u);
+  EXPECT_EQ(stub.stats().queries, 3u);
+  EXPECT_EQ(stub.stats().failed_queries, 1u);
+}
+
+TEST_F(PtrValidationFixture, ReplyWithoutQrBitIsRejected) {
+  TamperingTransport echo(&network, 1, [](Message& m) { m.header.qr = false; });
+  StubResolver stub(&echo, client_addr, ptr_addr);
+  EXPECT_EQ(stub.resolve_ptr(hop), "core1.paris.transit.example");
+  EXPECT_EQ(stub.stats().validation_failures, 1u);
 }
 
 // ---- DnsCache ---------------------------------------------------------------

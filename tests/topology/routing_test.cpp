@@ -2,6 +2,9 @@
 // over generated graphs.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "net/error.hpp"
 #include "topology/as_gen.hpp"
 #include "topology/routing.hpp"
@@ -201,6 +204,47 @@ TEST(RoutingTest, TablesAreCached) {
   routing.table_for(p);
   routing.table_for(a);
   EXPECT_EQ(routing.cached_destinations(), 2u);
+}
+
+bool same_table(std::span<const RouteEntry> a, std::span<const RouteEntry> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].cls != b[i].cls || a[i].as_path_len != b[i].as_path_len ||
+        a[i].next_node != b[i].next_node || a[i].via_link != b[i].via_link) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RoutingTest, ConcurrentFirstUseMatchesSerial) {
+  AsGenConfig config;
+  config.tier1_count = 4;
+  config.tier2_count = 10;
+  config.stub_count = 40;
+  const AsGraph g = generate_as_graph(config);
+  const std::size_t n = g.node_count();
+  BgpRouting serial(&g);
+  BgpRouting shared(&g);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<bool>> agrees(kThreads, std::vector<bool>(n, false));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different destination, so first uses race.
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t dst = (k + t * n / kThreads) % n;
+        const auto table = shared.table_for(dst);
+        agrees[t][dst] = table.size() == n && table[dst].cls == RouteClass::kCustomer;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    EXPECT_TRUE(same_table(shared.table_for(dst), serial.table_for(dst))) << "dst=" << dst;
+    for (std::size_t t = 0; t < kThreads; ++t) EXPECT_TRUE(agrees[t][dst]) << "dst=" << dst;
+  }
+  EXPECT_EQ(shared.cached_destinations(), n);
 }
 
 TEST(RoutingTest, OutOfRangeDestinationThrows) {

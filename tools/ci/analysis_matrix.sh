@@ -9,8 +9,10 @@
 # Usage: tools/ci/analysis_matrix.sh [--short] [--jobs N]
 #
 #   --short   tier-1 time budget: every sanitizer stage runs only the
-#             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec labels
-#             instead of the full suite.
+#             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine labels
+#             instead of the full suite. (`codec` is the name-compression
+#             differential and the allocation budget; `engine` is the
+#             training-window and decision-engine suites.)
 #   --jobs N  parallel build/test jobs (default: nproc).
 #
 # Each stage uses its CMakePresets.json preset, so build trees land in
@@ -48,7 +50,7 @@ echo "SARIF artifact: build/drongo_lint.sarif"
 # the whole matrix fits a tier-1 budget; the full suite is the default for nightly/deep runs.
 LABEL_ARGS=()
 if [[ "$SHORT" -eq 1 ]]; then
-  LABEL_ARGS=(-L 'concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec')
+  LABEL_ARGS=(-L 'concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine')
 fi
 
 banner "stage 2/4: AddressSanitizer"
