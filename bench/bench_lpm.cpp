@@ -130,7 +130,7 @@ IndexTimings time_indexes() {
   const auto scopes = make_scopes(rng);
   const auto queries = make_queries(rng, scopes);
 
-  net::LpmTrie<int> trie;
+  net::IpLpmTrie<int> trie;
   LinearScanIndex naive;
   for (std::size_t i = 0; i < scopes.size(); ++i) {
     trie.insert(scopes[i], static_cast<int>(i));
@@ -142,7 +142,7 @@ IndexTimings time_indexes() {
     const net::Stopwatch watch;
     for (int pass = 0; pass < kRadixPasses; ++pass) {
       for (const auto addr : queries) {
-        if (trie.longest_match(addr).has_value()) ++timings.radix_matches;
+        if (trie.longest_match(addr, 32).has_value()) ++timings.radix_matches;
       }
     }
     timings.radix_ns_per_lookup =

@@ -3,11 +3,12 @@
 //   $ ./ldns_proxy [--serve seconds] [seed]
 //
 // Builds the simulated Internet, trains a Drongo client, then serves it as
-// an LDNS proxy on a real loopback UDP socket. By default the example
-// queries itself through the socket and prints a dig-style transcript; with
-// --serve N it stays up so you can point dig at it:
+// an LDNS proxy through dns::DaemonServer on real loopback sockets (UDP,
+// plus TCP for truncated answers). By default the example queries itself
+// through the socket and prints a dig-style transcript; with --serve N it
+// stays up so you can point dig at it:
 //
-//   dig @127.0.0.1 -p <port> img.googlecdn.sim
+//   dig @127.0.0.1 -p <udp port> img.googlecdn.sim
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <thread>
 
 #include "core/drongo.hpp"
+#include "dns/daemon_server.hpp"
 #include "dns/proxy.hpp"
 #include "dns/udp.hpp"
 #include "measure/testbed.hpp"
@@ -49,18 +51,23 @@ int main(int argc, char** argv) {
   std::cout << "Trained on " << testbed.provider_count() << " providers; tracking "
             << drongo.engine().tracked_windows() << " (domain, subnet) windows\n";
 
-  // Mount Drongo in the proxy and serve it over a real UDP socket.
+  // Mount Drongo in the proxy and serve it over real sockets. The packet
+  // cache is off so every query reaches the proxy and its counters.
   dns::LdnsProxy proxy(&testbed.dns_network(), testbed.resolver_address(),
                        net::Ipv4Addr(127, 0, 0, 53), &drongo);
-  dns::UdpDnsServer server(&proxy, 0);
-  std::cout << "Drongo LDNS proxy listening on 127.0.0.1:" << server.port() << "\n";
-  std::cout << "  try: dig @127.0.0.1 -p " << server.port() << " img.googlecdn.sim\n\n";
+  dns::DaemonServerConfig server_config;
+  server_config.packet_cache_entries = 0;
+  dns::DaemonServer server(&proxy, server_config);
+  std::cout << "Drongo LDNS proxy listening on 127.0.0.1: udp port " << server.udp_port()
+            << ", tcp port " << server.tcp_port() << "\n";
+  std::cout << "  try: dig @127.0.0.1 -p " << server.udp_port()
+            << " img.googlecdn.sim\n\n";
 
   // Self-demo: resolve every provider's first content name through the
   // socket and report where assimilation kicked in.
   dns::UdpDnsClient udp(2000);
   const net::Ipv4Addr proxy_identity(198, 18, 250, 1);
-  udp.register_endpoint(proxy_identity, server.port());
+  udp.register_endpoint(proxy_identity, server.udp_port());
   dns::StubResolver stub(&udp, testbed.clients()[0], proxy_identity, seed ^ 0x13);
   for (std::size_t p = 0; p < testbed.provider_count(); ++p) {
     const auto domain = testbed.content_names(p)[0];
@@ -78,11 +85,12 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nproxy stats: " << proxy.forwarded() << " forwarded, "
             << proxy.assimilated() << " assimilated, " << server.served()
-            << " datagrams served\n";
+            << " responses served\n";
 
   if (serve_seconds > 0) {
     std::cout << "serving for " << serve_seconds << "s...\n";
     std::this_thread::sleep_for(std::chrono::seconds(serve_seconds));
   }
+  server.stop();
   return 0;
 }

@@ -72,7 +72,7 @@ bool valley_share_from_env() {
 struct ValleyStore::Stripe {
   mutable std::mutex mutex;
   /// cluster -> domain (canonical) -> pooled subnet aggregates.
-  std::map<std::string, std::map<std::string, net::LpmTrie<Aggregate>>> clusters;
+  std::map<std::string, std::map<std::string, net::IpLpmTrie<Aggregate>>> clusters;
   ValleyStoreStats stats;
 };
 
@@ -153,14 +153,14 @@ std::optional<net::Prefix> ValleyStore::choose(const std::string& cluster,
       // trie's canonical order stands in for DecisionEngine's RNG
       // tie-break, because shared knowledge must choose identically for
       // every cluster member on every thread.
-      dit->second.walk([&](const net::Prefix& subnet, const Aggregate& agg) {
+      dit->second.walk([&](const net::IpPrefix& subnet, const Aggregate& agg) {
         if (agg.observations < params_.min_observations) return;
         const double vf = static_cast<double>(agg.valleys) /
                           static_cast<double>(agg.observations);
         if (vf < params_.min_valley_frequency || vf <= 0.0) return;
         if (vf > best_vf) {
           best_vf = vf;
-          best = subnet;
+          best = subnet.to_v4();
         }
       });
     }
@@ -182,9 +182,9 @@ std::vector<ValleyStore::Candidate> ValleyStore::candidates(
   if (cit == stripe.clusters.end()) return out;
   const auto dit = cit->second.find(net::to_lower(domain));
   if (dit == cit->second.end()) return out;
-  dit->second.walk([&](const net::Prefix& subnet, const Aggregate& agg) {
+  dit->second.walk([&](const net::IpPrefix& subnet, const Aggregate& agg) {
     Candidate c;
-    c.subnet = subnet;
+    c.subnet = *subnet.to_v4();  // hop subnets are v4: the store keys no v6
     c.observations = agg.observations;
     c.valleys = agg.valleys;
     c.valley_frequency = agg.observations == 0

@@ -61,7 +61,7 @@ struct CacheStats {
 /// full. Expired entries are erased as lookups walk over them, so `size()`
 /// counts live entries only.
 ///
-/// Scope matching is a radix LPM trie per qname (net::LpmTrie): a lookup
+/// Scope matching is a radix LPM trie per qname (net::IpLpmTrie): a lookup
 /// descends the client subnet's bit path once, collecting the containment
 /// chain of cached scopes longest-first, so cost is O(prefix bits) in the
 /// number of cached scopes for the name — not a linear scan. Expired chain

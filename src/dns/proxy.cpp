@@ -45,8 +45,8 @@ Message LdnsProxy::handle(const Message& query, net::Ipv4Addr source) {
   Message forwarded = query;
   forwarded.set_client_subnet(ClientSubnet::for_subnet(announce));
 
-  ++forwarded_;
-  if (did_assimilate) ++assimilated_;
+  forwarded_.fetch_add(1, std::memory_order_relaxed);
+  if (did_assimilate) assimilated_.fetch_add(1, std::memory_order_relaxed);
 
   Message reply;
   try {
@@ -57,7 +57,7 @@ Message LdnsProxy::handle(const Message& query, net::Ipv4Addr source) {
     // The upstream recursive is unreachable or timing out. A proxy cannot
     // fix that; it answers SERVFAIL so the stub's own retry/backoff policy
     // decides what happens next (RFC 1035 rcode 2 semantics).
-    ++upstream_failures_;
+    upstream_failures_.fetch_add(1, std::memory_order_relaxed);
     return Message::make_response(query, Rcode::kServFail);
   }
 

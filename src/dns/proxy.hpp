@@ -1,6 +1,7 @@
 // LDNS proxy: the deployment shell Drongo runs in (paper §4).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -46,11 +47,18 @@ class LdnsProxy : public DnsServer {
 
   Message handle(const Message& query, net::Ipv4Addr source) override;
 
-  /// Counters for observability / tests.
-  [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
-  [[nodiscard]] std::uint64_t assimilated() const { return assimilated_; }
+  /// Counters for observability / tests; safe to read while a serving
+  /// thread is handling queries.
+  [[nodiscard]] std::uint64_t forwarded() const {
+    return forwarded_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t assimilated() const {
+    return assimilated_.load(std::memory_order_relaxed);
+  }
   /// Forwards that failed transiently and were answered SERVFAIL instead.
-  [[nodiscard]] std::uint64_t upstream_failures() const { return upstream_failures_; }
+  [[nodiscard]] std::uint64_t upstream_failures() const {
+    return upstream_failures_.load(std::memory_order_relaxed);
+  }
 
   void set_selector(SubnetSelector* selector) { selector_ = selector; }
 
@@ -59,9 +67,11 @@ class LdnsProxy : public DnsServer {
   net::Ipv4Addr upstream_address_;
   net::Ipv4Addr proxy_address_;
   SubnetSelector* selector_;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t assimilated_ = 0;
-  std::uint64_t upstream_failures_ = 0;
+  /// Relaxed atomics: the serving thread writes them while other threads
+  /// read them.
+  std::atomic<std::uint64_t> forwarded_{0};
+  std::atomic<std::uint64_t> assimilated_{0};
+  std::atomic<std::uint64_t> upstream_failures_{0};
 };
 
 }  // namespace drongo::dns

@@ -67,66 +67,6 @@ bool write_framed(int fd, std::span<const std::uint8_t> payload) {
 
 }  // namespace
 
-TcpDnsServer::TcpDnsServer(DnsServer* server, std::uint16_t port,
-                           net::Ipv4Addr server_identity)
-    : handler_(server), identity_(server_identity) {
-  if (handler_ == nullptr) throw net::InvalidArgument("null DnsServer");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw net::Error(std::string("socket(): ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    const int saved = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw net::Error(std::string("bind/listen(): ") + std::strerror(saved));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  thread_ = std::thread([this] { serve_loop(); });
-}
-
-TcpDnsServer::~TcpDnsServer() {
-  stop();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-void TcpDnsServer::stop() {
-  stopping_.store(true);
-  if (thread_.joinable()) thread_.join();
-}
-
-void TcpDnsServer::serve_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 50);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    serve_connection(fd);
-    ::close(fd);
-  }
-}
-
-void TcpDnsServer::serve_connection(int fd) {
-  // Serve queries until the peer closes or an error occurs.
-  for (;;) {
-    const auto wire = read_framed(fd, 500);
-    if (wire.empty()) return;
-    try {
-      const Message query = Message::decode(wire);
-      const Message reply = handler_->handle(query, identity_);
-      served_.fetch_add(1);
-      if (!write_framed(fd, reply.encode())) return;
-    } catch (const net::Error&) {
-      return;  // malformed: drop the connection, like a real server
-    }
-  }
-}
-
 TcpDnsClient::TcpDnsClient(int timeout_ms) : timeout_ms_(timeout_ms) {}
 
 void TcpDnsClient::register_endpoint(net::Ipv4Addr server, std::uint16_t port) {

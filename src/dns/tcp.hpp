@@ -2,49 +2,18 @@
 //
 // UDP answers that exceed the client's advertised payload size come back
 // truncated (TC=1); real stubs then retry the query over TCP, where
-// messages are 2-byte-length-prefixed. This module provides the TCP server
-// and client plus a transport that performs the fallback transparently.
+// messages are 2-byte-length-prefixed. This module provides the TCP client,
+// a transport that performs the fallback transparently, and the truncation
+// rules dns::DaemonServer applies to its UDP answers.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 #include <unordered_map>
 
 #include "dns/server.hpp"
 
 namespace drongo::dns {
-
-/// Serves a DnsServer over loopback TCP in a background thread. Each
-/// connection may carry multiple length-prefixed queries; connections are
-/// handled sequentially (ample for a test/demo server).
-class TcpDnsServer {
- public:
-  /// Starts listening on `port` (0 = ephemeral). `server` is borrowed.
-  TcpDnsServer(DnsServer* server, std::uint16_t port = 0,
-               net::Ipv4Addr server_identity = net::Ipv4Addr(127, 0, 0, 1));
-  ~TcpDnsServer();
-
-  TcpDnsServer(const TcpDnsServer&) = delete;
-  TcpDnsServer& operator=(const TcpDnsServer&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] std::uint64_t served() const { return served_.load(); }
-
-  void stop();
-
- private:
-  void serve_loop();
-  void serve_connection(int fd);
-
-  DnsServer* handler_;
-  net::Ipv4Addr identity_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> served_{0};
-  std::thread thread_;
-};
 
 /// DnsTransport over loopback TCP: connects per exchange, writes the
 /// length-prefixed query, reads the length-prefixed response.

@@ -1,7 +1,5 @@
 #include "dns/udp.hpp"
 
-#include "dns/tcp.hpp"
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -102,43 +100,6 @@ std::vector<std::uint8_t> UdpSocket::receive_from(std::uint16_t& from_port) {
   from_port = ntohs(from.sin_port);
   buffer.resize(static_cast<std::size_t>(n));
   return buffer;
-}
-
-UdpDnsServer::UdpDnsServer(DnsServer* server, std::uint16_t port,
-                           net::Ipv4Addr server_identity)
-    : handler_(server), identity_(server_identity), socket_(port) {
-  if (handler_ == nullptr) throw net::InvalidArgument("null DnsServer");
-  socket_.set_receive_timeout(50);
-  thread_ = std::thread([this] { serve_loop(); });
-}
-
-UdpDnsServer::~UdpDnsServer() { stop(); }
-
-void UdpDnsServer::stop() {
-  stopping_.store(true);
-  if (thread_.joinable()) thread_.join();
-}
-
-void UdpDnsServer::serve_loop() {
-  while (!stopping_.load()) {
-    std::uint16_t peer_port = 0;
-    std::vector<std::uint8_t> datagram = socket_.receive_from(peer_port);
-    if (datagram.empty()) continue;  // timeout tick
-    try {
-      const Message query = Message::decode(datagram);
-      Message reply = handler_->handle(query, identity_);
-      // RFC 1035: a UDP answer must fit the client's advertised payload
-      // size; otherwise send it truncated and let the client retry on TCP.
-      truncate_to_fit(reply, max_udp_payload(query));
-      // Count before sending: a client that has the reply must observe the
-      // incremented counter.
-      served_.fetch_add(1);
-      socket_.send_to(peer_port, reply.encode());
-    } catch (const net::Error&) {
-      // Malformed datagram or handler failure: drop, as a real UDP DNS
-      // server would (the client will time out and retry).
-    }
-  }
 }
 
 UdpDnsClient::UdpDnsClient(int timeout_ms, int attempts)

@@ -1,9 +1,8 @@
-// UDP transport: serve and query DNS over real sockets (loopback demos).
+// UDP transport: query DNS over real loopback sockets. Serving is
+// dns::DaemonServer's job (daemon_server.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <unordered_map>
 
 #include "dns/server.hpp"
@@ -40,41 +39,6 @@ class UdpSocket {
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
-};
-
-/// Runs a DnsServer on a loopback UDP socket in a background thread.
-///
-/// Each datagram is decoded, handled, encoded, and sent back — the same
-/// message path the in-memory network uses, but over the kernel. `dig` can
-/// be pointed at it. The serving loop stops when the object is destroyed or
-/// stop() is called.
-class UdpDnsServer {
- public:
-  /// Starts serving `server` on `port` (0 = ephemeral). The DnsServer is
-  /// borrowed and must outlive this object. `server_identity` is passed to
-  /// handlers as the transport source for queries (real peers are loopback,
-  /// which carries no topology meaning).
-  UdpDnsServer(DnsServer* server, std::uint16_t port = 0,
-               net::Ipv4Addr server_identity = net::Ipv4Addr(127, 0, 0, 1));
-  ~UdpDnsServer();
-
-  UdpDnsServer(const UdpDnsServer&) = delete;
-  UdpDnsServer& operator=(const UdpDnsServer&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return socket_.port(); }
-  [[nodiscard]] std::uint64_t served() const { return served_.load(); }
-
-  void stop();
-
- private:
-  void serve_loop();
-
-  DnsServer* handler_;
-  net::Ipv4Addr identity_;
-  UdpSocket socket_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> served_{0};
-  std::thread thread_;
 };
 
 /// DnsTransport over loopback UDP. Simulated server addresses are mapped to

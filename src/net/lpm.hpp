@@ -16,10 +16,9 @@
 // Structure: `detail::LpmCore` (lpm.cpp) implements the bit-level radix
 // machinery over 128-bit keys (v4 keys are left-aligned in the top 32 bits,
 // which preserves the v4 walk order bit-for-bit) and opaque value slots;
-// `LpmTrie<T>` is the v4-typed wrapper, `IpLpmTrie<T>` the dual-stack one
-// holding one core per family so a v6 scope can never answer for a v4
-// client. Not internally synchronized — callers provide locking, exactly
-// like DnsCache.
+// `IpLpmTrie<T>` is the typed wrapper, holding one core per family so a v6
+// scope can never answer for a v4 client. Not internally synchronized —
+// callers provide locking, exactly like DnsCache.
 #pragma once
 
 #include <cstdint>
@@ -138,146 +137,6 @@ class LpmCore {
 
 }  // namespace detail
 
-/// A map from IPv4 prefix to T with longest-prefix-match lookup.
-///
-/// Values live in a slot vector (stable across erases; insertion may grow
-/// it), so pointers returned by find()/longest_match()/match_chain() stay
-/// valid until the next insert() or clear().
-template <typename T>
-class LpmTrie {
- public:
-  struct Match {
-    Prefix prefix;
-    T* value = nullptr;
-  };
-  struct ConstMatch {
-    Prefix prefix;
-    const T* value = nullptr;
-  };
-
-  /// Inserts or replaces the value at `prefix`; returns a pointer to the
-  /// stored value.
-  T* insert(const Prefix& prefix, T value) {
-    const auto key = detail::LpmBits::from_v4(prefix.network().to_uint());
-    const std::uint32_t existing = core_.find(key, prefix.length());
-    if (existing != detail::LpmCore::kNoSlot) {
-      slots_[existing] = std::move(value);
-      return &*slots_[existing];
-    }
-    const std::uint32_t slot = allocate_slot(std::move(value));
-    core_.insert(key, prefix.length(), slot);
-    return &*slots_[slot];
-  }
-
-  /// Exact-match lookup; nullptr when `prefix` itself is not stored.
-  [[nodiscard]] T* find(const Prefix& prefix, std::uint64_t* visited = nullptr) {
-    const std::uint32_t slot =
-        core_.find(detail::LpmBits::from_v4(prefix.network().to_uint()),
-                   prefix.length(), visited);
-    return slot == detail::LpmCore::kNoSlot ? nullptr : &*slots_[slot];
-  }
-  [[nodiscard]] const T* find(const Prefix& prefix,
-                              std::uint64_t* visited = nullptr) const {
-    const std::uint32_t slot =
-        core_.find(detail::LpmBits::from_v4(prefix.network().to_uint()),
-                   prefix.length(), visited);
-    return slot == detail::LpmCore::kNoSlot ? nullptr : &*slots_[slot];
-  }
-
-  /// Removes `prefix`; false when absent.
-  bool erase(const Prefix& prefix) {
-    const std::uint32_t slot = core_.erase(
-        detail::LpmBits::from_v4(prefix.network().to_uint()), prefix.length());
-    if (slot == detail::LpmCore::kNoSlot) return false;
-    slots_[slot].reset();
-    free_slots_.push_back(slot);
-    return true;
-  }
-
-  /// The most specific stored prefix containing `addr`, restricted to
-  /// lengths <= max_length (RFC 7871: a cached scope may only serve clients
-  /// whose source prefix it contains, so pass the client subnet's length).
-  [[nodiscard]] std::optional<Match> longest_match(Ipv4Addr addr, int max_length = 32,
-                                                   std::uint64_t* visited = nullptr) {
-    check_v4_length(max_length);
-    const auto m = core_.longest_match(detail::LpmBits::from_v4(addr.to_uint()),
-                                       max_length, visited);
-    if (!m) return std::nullopt;
-    return Match{Prefix(Ipv4Addr(m->bits.to_v4()), m->length), &*slots_[m->slot]};
-  }
-  [[nodiscard]] std::optional<ConstMatch> longest_match(
-      Ipv4Addr addr, int max_length = 32, std::uint64_t* visited = nullptr) const {
-    check_v4_length(max_length);
-    const auto m = core_.longest_match(detail::LpmBits::from_v4(addr.to_uint()),
-                                       max_length, visited);
-    if (!m) return std::nullopt;
-    return ConstMatch{Prefix(Ipv4Addr(m->bits.to_v4()), m->length), &*slots_[m->slot]};
-  }
-
-  /// Every stored prefix containing `addr` with length <= max_length,
-  /// longest first — the RFC 7871 candidate chain, so a caller can skip
-  /// dead (expired) entries and fall back to the next-most-specific scope.
-  [[nodiscard]] std::vector<Match> match_chain(Ipv4Addr addr, int max_length = 32,
-                                               std::uint64_t* visited = nullptr) {
-    check_v4_length(max_length);
-    chain_scratch_.clear();
-    core_.match_chain(detail::LpmBits::from_v4(addr.to_uint()), max_length,
-                      chain_scratch_, visited);
-    std::vector<Match> out;
-    out.reserve(chain_scratch_.size());
-    for (const auto& m : chain_scratch_) {
-      out.push_back({Prefix(Ipv4Addr(m.bits.to_v4()), m.length), &*slots_[m.slot]});
-    }
-    return out;
-  }
-
-  /// Visits (Prefix, T&) for every entry in canonical order (ascending
-  /// network address, shorter prefixes before their subtrees).
-  template <typename Fn>
-  void walk(Fn&& fn) const {
-    core_.walk([&](detail::LpmBits bits, int length, std::uint32_t slot) {
-      fn(Prefix(Ipv4Addr(bits.to_v4()), length), *slots_[slot]);
-    });
-  }
-
-  [[nodiscard]] std::size_t size() const { return core_.size(); }
-  [[nodiscard]] bool empty() const { return core_.size() == 0; }
-  [[nodiscard]] std::size_t node_count() const { return core_.node_count(); }
-
-  void clear() {
-    core_.clear();
-    slots_.clear();
-    free_slots_.clear();
-  }
-
- private:
-  /// The v4 façade keeps the historical 0..32 bound even though the shared
-  /// core now spans 128 bits — an out-of-range max_length here is a caller
-  /// bug, not a wider key space.
-  static void check_v4_length(int length) {
-    if (length < 0 || length > 32) {
-      throw InvalidArgument("IPv4 prefix length out of range: " +
-                            std::to_string(length));
-    }
-  }
-
-  std::uint32_t allocate_slot(T value) {
-    if (!free_slots_.empty()) {
-      const std::uint32_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(value);
-      return slot;
-    }
-    slots_.emplace_back(std::move(value));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-
-  detail::LpmCore core_;
-  std::vector<std::optional<T>> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<detail::LpmCore::Match> chain_scratch_;
-};
-
 /// A map from dual-stack IpPrefix to T with longest-prefix-match lookup.
 ///
 /// One radix core per family: family separation is structural, so ::/0 can
@@ -285,16 +144,16 @@ class LpmTrie {
 /// the RFC 7871 rule that a scope only serves clients of its own family.
 /// Walk order is all v4 entries (canonical v4 order) followed by all v6
 /// entries, matching std::map<IpPrefix> ordering.
+///
+/// Values live in a slot vector (stable across erases; insertion may grow
+/// it), so pointers returned by find()/longest_match()/match_chain() stay
+/// valid until the next insert() or clear().
 template <typename T>
 class IpLpmTrie {
  public:
   struct Match {
     IpPrefix prefix;
     T* value = nullptr;
-  };
-  struct ConstMatch {
-    IpPrefix prefix;
-    const T* value = nullptr;
   };
 
   /// Inserts or replaces the value at `prefix`; returns a pointer to the
@@ -336,9 +195,13 @@ class IpLpmTrie {
   }
 
   /// The most specific stored same-family prefix containing `addr`,
-  /// restricted to lengths <= max_length.
+  /// restricted to lengths <= max_length (RFC 7871: a cached scope may only
+  /// serve clients whose source prefix it contains, so pass the client
+  /// subnet's length). Throws InvalidArgument when `max_length` is outside
+  /// the family's range (0..32 for v4, 0..128 for v6).
   [[nodiscard]] std::optional<Match> longest_match(
       const IpAddr& addr, int max_length, std::uint64_t* visited = nullptr) {
+    check_length(addr.family(), max_length);
     const auto m =
         core_for(addr.family()).longest_match(key_of(addr), max_length, visited);
     if (!m) return std::nullopt;
@@ -346,9 +209,12 @@ class IpLpmTrie {
   }
 
   /// Every stored same-family prefix containing `addr` with length <=
-  /// max_length, longest first — the RFC 7871 candidate chain.
+  /// max_length, longest first — the RFC 7871 candidate chain, so a caller
+  /// can skip dead (expired) entries and fall back to the next-most-specific
+  /// scope. `max_length` is bounded per family as for longest_match().
   [[nodiscard]] std::vector<Match> match_chain(const IpAddr& addr, int max_length,
                                                std::uint64_t* visited = nullptr) {
+    check_length(addr.family(), max_length);
     chain_scratch_.clear();
     core_for(addr.family())
         .match_chain(key_of(addr), max_length, chain_scratch_, visited);
@@ -386,6 +252,16 @@ class IpLpmTrie {
   }
 
  private:
+  /// The shared core spans 128 bits for both families, so a v4 lookup with
+  /// max_length 33..128 would silently act as /32; it is a caller bug.
+  static void check_length(IpFamily family, int length) {
+    const int max_bits = family == IpFamily::kV4 ? 32 : 128;
+    if (length < 0 || length > max_bits) {
+      throw InvalidArgument(std::string(family == IpFamily::kV4 ? "IPv4" : "IPv6") +
+                            " prefix length out of range: " + std::to_string(length));
+    }
+  }
+
   [[nodiscard]] detail::LpmCore& core_for(IpFamily family) {
     return family == IpFamily::kV4 ? core4_ : core6_;
   }

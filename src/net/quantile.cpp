@@ -74,36 +74,12 @@ double StreamingQuantile::observed_max() const {
 double StreamingQuantile::quantile(double p) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
-  const double lo_clamp = observed_min();
-  const double hi_clamp = observed_max();
-  p = std::clamp(p, 0.0, 100.0);
-  // Same convention as measure::percentile and obs::HistogramSnapshot:
-  // rank p/100 * (n-1), values evenly spread within a bucket, extreme
-  // buckets clamped to the observed min/max.
-  const double rank = p / 100.0 * static_cast<double>(n - 1);
   // The extreme ranks are known exactly — the atomics track true min/max —
   // so p0/p100 report them rather than a bucket interpolation.
-  if (rank <= 0.0) return lo_clamp;
-  if (rank >= static_cast<double>(n - 1)) return hi_clamp;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    const double first_rank = static_cast<double>(cumulative);
-    const double last_rank = static_cast<double>(cumulative + in_bucket - 1);
-    if (rank <= last_rank || cumulative + in_bucket == n) {
-      double lo = i == 0 ? lo_clamp : bounds_[i - 1];
-      double hi = i < bounds_.size() ? bounds_[i] : hi_clamp;
-      lo = std::max(lo, lo_clamp);
-      hi = std::min(hi, hi_clamp);
-      if (hi <= lo || in_bucket == 1) return std::clamp((lo + hi) / 2.0, lo_clamp, hi_clamp);
-      const double frac =
-          std::clamp((rank - first_rank) / static_cast<double>(in_bucket - 1), 0.0, 1.0);
-      return lo + (hi - lo) * frac;
-    }
-    cumulative += in_bucket;
-  }
-  return hi_clamp;
+  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(n - 1);
+  if (rank <= 0.0) return observed_min();
+  if (rank >= static_cast<double>(n - 1)) return observed_max();
+  return bucket_percentile(p, n, buckets_, bounds_, observed_min(), observed_max());
 }
 
 }  // namespace drongo::net

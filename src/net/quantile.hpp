@@ -11,22 +11,65 @@
 // guarantee, available below the obs layer where dns transports live.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
 namespace drongo::net {
 
+namespace detail {
+constexpr std::uint64_t bucket_count(std::uint64_t n) { return n; }
+inline std::uint64_t bucket_count(const std::atomic<std::uint64_t>& n) {
+  return n.load(std::memory_order_relaxed);
+}
+}  // namespace detail
+
+/// The percentile, p in [0, 100], of `count` values histogrammed into
+/// `buckets` (plain or relaxed-atomic counts) with ascending upper `bounds`;
+/// the one bucket past the last bound is the +inf overflow. Same rank
+/// convention as measure::percentile: linear interpolation at rank
+/// p/100 * (n-1), values assumed evenly spread within their bucket, and the
+/// extreme buckets clamped to the observed `min`/`max` so an outlier cannot
+/// drag the estimate past real data. Returns 0 when `count` is 0. The one
+/// routine behind StreamingQuantile and obs::HistogramSnapshot.
+template <typename Buckets>
+[[nodiscard]] double bucket_percentile(double p, std::uint64_t count,
+                                       const Buckets& buckets,
+                                       const std::vector<double>& bounds, double min,
+                                       double max) {
+  if (count == 0) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(count - 1);
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const std::uint64_t in_bucket = detail::bucket_count(buckets[i]);
+    if (in_bucket == 0) continue;
+    const double first_rank = static_cast<double>(cumulative);
+    const double last_rank = static_cast<double>(cumulative + in_bucket - 1);
+    if (rank <= last_rank || cumulative + in_bucket == count) {
+      double lo = i == 0 ? min : bounds[i - 1];
+      double hi = i < bounds.size() ? bounds[i] : max;
+      lo = std::max(lo, min);
+      hi = std::min(hi, max);
+      if (hi <= lo || in_bucket == 1) return std::clamp((lo + hi) / 2.0, min, max);
+      const double frac =
+          std::clamp((rank - first_rank) / static_cast<double>(in_bucket - 1), 0.0, 1.0);
+      return lo + (hi - lo) * frac;
+    }
+    cumulative += in_bucket;
+  }
+  return max;
+}
+
 /// A fixed-bucket streaming quantile sketch over positive millisecond
 /// values. Buckets are geometrically spaced between `min_value_ms` and
 /// `max_value_ms` (values outside are clamped into the edge buckets), so
 /// relative resolution is constant across the range.
 ///
-/// quantile() uses the same rank convention as measure::percentile (linear
-/// interpolation at rank p/100 * (n-1)), with values assumed evenly spread
-/// within their bucket and the extreme buckets clamped to the observed
-/// min/max — agreement with the exact sorted-sample percentile is bounded
-/// by one bucket width.
+/// quantile() is bucket_percentile() over the sketch, except that p0/p100
+/// report the exactly tracked min/max — agreement with the exact
+/// sorted-sample percentile is bounded by one bucket width.
 ///
 /// Thread-safety: observe() may be called concurrently; it touches only
 /// relaxed atomics, so the post-quiescence state is independent of

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "net/error.hpp"
+#include "net/quantile.hpp"
 #include "obs/span.hpp"
 
 namespace drongo::obs {
@@ -31,31 +32,7 @@ const std::vector<double>& default_latency_bounds_ms() {
 }
 
 double HistogramSnapshot::percentile(double p) const {
-  if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(count - 1);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const std::uint64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    const double first_rank = static_cast<double>(cumulative);
-    const double last_rank = static_cast<double>(cumulative + in_bucket - 1);
-    if (rank <= last_rank || cumulative + in_bucket == count) {
-      // Values are assumed evenly spread across the bucket span; the
-      // extreme buckets are clamped to the observed min/max so an outlier
-      // cannot drag the estimate past real data.
-      double lo = i == 0 ? min : bounds[i - 1];
-      double hi = i < bounds.size() ? bounds[i] : max;
-      lo = std::max(lo, min);
-      hi = std::min(hi, max);
-      if (hi <= lo || in_bucket == 1) return std::clamp((lo + hi) / 2.0, min, max);
-      const double frac =
-          std::clamp((rank - first_rank) / static_cast<double>(in_bucket - 1), 0.0, 1.0);
-      return lo + (hi - lo) * frac;
-    }
-    cumulative += in_bucket;
-  }
-  return max;
+  return net::bucket_percentile(p, count, buckets, bounds, min, max);
 }
 
 Registry::Registry() : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}

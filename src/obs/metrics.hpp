@@ -58,11 +58,9 @@ struct HistogramSnapshot {
     return count == 0 ? 0.0 : sum_ms() / static_cast<double>(count);
   }
 
-  /// Estimated percentile, p in [0, 100], using the same rank convention as
-  /// measure::percentile (linear interpolation at rank p/100 * (n-1)) with
-  /// values assumed evenly spread within their bucket and the extreme
-  /// buckets clamped to the observed min/max. Agreement with the exact
-  /// sorted-sample percentile is therefore bounded by one bucket width.
+  /// Estimated percentile, p in [0, 100]: net::bucket_percentile over this
+  /// snapshot. Agreement with the exact sorted-sample percentile is bounded
+  /// by one bucket width.
   [[nodiscard]] double percentile(double p) const;
 };
 

@@ -1,8 +1,8 @@
 // Loopback integration tests for the epoll serving front end: the
 // netio::EventLoop primitives, then dns::DaemonServer over real sockets —
 // batched UDP round trips, the TC→TCP retry path, malformed-input
-// survival, the whole-packet cache, graceful drain, and the full
-// cdn::PublicResolver behind the daemon.
+// survival, the whole-packet cache, graceful drain, the full
+// cdn::PublicResolver behind the daemon, and an LdnsProxy served through it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include "cdn/resolver.hpp"
 #include "dns/daemon_server.hpp"
 #include "dns/inmemory.hpp"
+#include "dns/proxy.hpp"
 #include "dns/tcp.hpp"
 #include "dns/udp.hpp"
 #include "net/error.hpp"
@@ -197,6 +198,15 @@ TEST(DaemonServerTest, TruncationFallsBackToTcp) {
   udp_client.register_endpoint(virtual_server, daemon.udp_port());
   tcp_client.register_endpoint(virtual_server, daemon.tcp_port());
   TruncationFallbackTransport transport(&udp_client, &tcp_client);
+
+  // A small answer fits the advertisement and stays on UDP.
+  const auto small = Message::make_query(6, DnsName::must_parse("img.cdn.sim"),
+                                         net::Prefix::must_parse("10.0.0.0/24"));
+  const auto small_reply = Message::decode(
+      transport.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, small.encode()));
+  EXPECT_FALSE(small_reply.header.tc);
+  EXPECT_EQ(small_reply.answers.size(), 1u);
+  EXPECT_EQ(transport.fallbacks(), 0u);
 
   const auto big = Message::make_query(7, DnsName::must_parse("big.cdn.sim"),
                                        net::Prefix::must_parse("10.0.0.0/24"));
@@ -470,6 +480,61 @@ TEST(DaemonServerTest, PublicResolverServesEcsTailoredAnswersOverSockets) {
     ++id;
   }
   daemon.stop();
+}
+
+/// Assimilates every query into one fixed subnet.
+class AlwaysAssimilate : public SubnetSelector {
+ public:
+  std::optional<net::Prefix> select_subnet(const DnsName& /*domain*/,
+                                           const net::Prefix& /*client*/) override {
+    return net::Prefix::must_parse("20.99.5.0/24");
+  }
+};
+
+TEST(DaemonServerTest, ProxyCountersAreReadableWhileServing) {
+  // The listener thread bumps the proxy's counters while this thread reads
+  // them: under TSan, plain integers there are a reported data race.
+  EchoServer upstream;
+  InMemoryDnsNetwork network;
+  const net::Ipv4Addr upstream_addr(20, 0, 0, 53);
+  network.register_server(upstream_addr, &upstream);
+  AlwaysAssimilate selector;
+  LdnsProxy proxy(&network, upstream_addr, net::Ipv4Addr(127, 0, 0, 53), &selector);
+  DaemonServerConfig config;
+  config.enable_tcp = false;
+  config.packet_cache_entries = 0;  // every query must reach the proxy
+  DaemonServer daemon(&proxy, config);
+
+  constexpr std::uint64_t kQueries = 20;
+  std::atomic<bool> done{false};
+  std::thread client([&] {
+    UdpSocket socket(0);
+    socket.set_receive_timeout(2000);
+    try {
+      for (std::uint64_t i = 0; i < kQueries; ++i) {
+        const auto query = Message::make_query(
+            static_cast<std::uint16_t>(i + 1), DnsName::must_parse("img.cdn.sim"),
+            net::Prefix::must_parse("10.1.2.0/24"));
+        (void)exchange_udp(socket, daemon.udp_port(), query);
+      }
+    } catch (const net::Error&) {
+      // A lost answer shows up as a short count below.
+    }
+    done = true;
+  });
+  std::uint64_t last_seen = 0;
+  while (!done) {
+    const std::uint64_t forwarded = proxy.forwarded();
+    EXPECT_GE(forwarded, last_seen);  // a counter never runs backwards
+    EXPECT_LE(proxy.assimilated(), kQueries);
+    last_seen = forwarded;
+    std::this_thread::yield();
+  }
+  client.join();
+  daemon.stop();
+  EXPECT_EQ(proxy.forwarded(), kQueries);
+  EXPECT_EQ(proxy.assimilated(), kQueries);
+  EXPECT_EQ(proxy.upstream_failures(), 0u);
 }
 
 }  // namespace

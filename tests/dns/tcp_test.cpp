@@ -1,8 +1,10 @@
-// DNS over TCP, truncation, and the UDP->TCP fallback path.
+// DNS over TCP and the truncation rules: TcpDnsClient against a
+// DaemonServer's TCP listener. The UDP->TCP fallback path itself is
+// DaemonServerTest.TruncationFallsBackToTcp.
 #include <gtest/gtest.h>
 
+#include "dns/daemon_server.hpp"
 #include "dns/tcp.hpp"
-#include "dns/udp.hpp"
 #include "net/error.hpp"
 
 namespace drongo::dns {
@@ -63,34 +65,38 @@ TEST(TruncationTest, OversizeMessagesTruncatedWithTc) {
 
 TEST(TcpDnsTest, QueryOverTcp) {
   BigAnswerServer handler;
-  TcpDnsServer server(&handler, 0);
-  ASSERT_NE(server.port(), 0);
+  DaemonServer server(&handler);
+  ASSERT_NE(server.tcp_port(), 0);
 
   TcpDnsClient client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  client.register_endpoint(virtual_server, server.port());
+  client.register_endpoint(virtual_server, server.tcp_port());
 
   const auto query = Message::make_query(0x42, DnsName::must_parse("img.cdn.sim"));
   const auto reply = Message::decode(
       client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
   EXPECT_EQ(reply.header.id, 0x42);
   ASSERT_EQ(reply.answer_addresses().size(), 1u);
-  EXPECT_GE(server.served(), 1u);
+  server.stop();
+  EXPECT_EQ(server.stats().tcp_responses, 1u);
 }
 
 TEST(TcpDnsTest, LargeAnswerIntactOverTcp) {
   BigAnswerServer handler;
-  TcpDnsServer server(&handler, 0);
+  DaemonServer server(&handler);
   TcpDnsClient client(2000);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  client.register_endpoint(virtual_server, server.port());
+  client.register_endpoint(virtual_server, server.tcp_port());
 
+  // max_datagram_bytes (4096 by default) caps UDP answers only.
   const auto query = Message::make_query(7, DnsName::must_parse("big.cdn.sim"));
   const auto reply = Message::decode(
       client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
   EXPECT_FALSE(reply.header.tc);
   EXPECT_EQ(reply.answers.size(), 41u);  // A + 40 TXT
-  EXPECT_GT(reply.encode().size(), 4096u);
+  EXPECT_GT(reply.encode().size(), DaemonServerConfig{}.max_datagram_bytes);
+  server.stop();
+  EXPECT_EQ(server.stats().truncated, 0u);
 }
 
 TEST(TcpDnsTest, UnknownEndpointThrows) {
@@ -101,71 +107,31 @@ TEST(TcpDnsTest, UnknownEndpointThrows) {
                net::Error);
 }
 
-TEST(TcpDnsTest, UdpTruncatesOversizeAnswers) {
-  BigAnswerServer handler;
-  UdpDnsServer udp_server(&handler, 0);
-  UdpDnsClient udp_client(2000);
-  const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  udp_client.register_endpoint(virtual_server, udp_server.port());
-
-  // EDNS advertisement of 1232 bytes: the ~5 kB answer cannot fit.
-  auto query = Message::make_query(9, DnsName::must_parse("big.cdn.sim"),
-                                   net::Prefix::must_parse("10.0.0.0/24"));
-  const auto reply = Message::decode(
-      udp_client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
-  EXPECT_TRUE(reply.header.tc);
-  EXPECT_TRUE(reply.answers.empty());
-}
-
-TEST(TcpDnsTest, FallbackTransportRetriesOverTcp) {
-  BigAnswerServer handler;
-  UdpDnsServer udp_server(&handler, 0);
-  TcpDnsServer tcp_server(&handler, 0);
-  UdpDnsClient udp_client(2000);
-  TcpDnsClient tcp_client(2000);
-  const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  udp_client.register_endpoint(virtual_server, udp_server.port());
-  tcp_client.register_endpoint(virtual_server, tcp_server.port());
-
-  TruncationFallbackTransport transport(&udp_client, &tcp_client);
-
-  // Small answer: stays on UDP.
-  auto small = Message::make_query(1, DnsName::must_parse("img.cdn.sim"),
-                                   net::Prefix::must_parse("10.0.0.0/24"));
-  auto small_reply = Message::decode(
-      transport.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, small.encode()));
-  EXPECT_FALSE(small_reply.header.tc);
-  EXPECT_EQ(transport.fallbacks(), 0u);
-
-  // Big answer: transparently completed over TCP.
-  auto big = Message::make_query(2, DnsName::must_parse("big.cdn.sim"),
-                                 net::Prefix::must_parse("10.0.0.0/24"));
-  auto big_reply = Message::decode(
-      transport.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, big.encode()));
-  EXPECT_FALSE(big_reply.header.tc);
-  EXPECT_EQ(big_reply.answers.size(), 41u);
-  EXPECT_EQ(transport.fallbacks(), 1u);
-}
-
 TEST(TcpDnsTest, GarbageConnectionDoesNotKillServer) {
   BigAnswerServer handler;
-  TcpDnsServer server(&handler, 0);
-  // Open a raw connection, send garbage framing, close.
-  TcpDnsClient garbage(200);
+  DaemonServer server(&handler);
   const net::Ipv4Addr virtual_server(9, 9, 9, 9);
-  garbage.register_endpoint(virtual_server, server.port());
+  // A well-framed but undecodable message: the daemon drops that
+  // connection, so the exchange ends without a reply.
+  TcpDnsClient garbage(2000);
+  garbage.register_endpoint(virtual_server, server.tcp_port());
   const std::uint8_t junk[] = {0xFF, 0xFE, 0xFD};
-  try {
-    garbage.exchange(net::Ipv4Addr(1, 1, 1, 1), virtual_server, junk);
-  } catch (const net::Error&) {
-  }
-  // Server still answers a valid query afterwards.
+  EXPECT_THROW(garbage.exchange(net::Ipv4Addr(1, 1, 1, 1), virtual_server, junk),
+               net::Error);
+
+  // A valid query on a new connection is still answered.
   TcpDnsClient client(2000);
-  client.register_endpoint(virtual_server, server.port());
+  client.register_endpoint(virtual_server, server.tcp_port());
   const auto query = Message::make_query(3, DnsName::must_parse("img.cdn.sim"));
   const auto reply = Message::decode(
       client.exchange(net::Ipv4Addr(10, 0, 0, 1), virtual_server, query.encode()));
   EXPECT_EQ(reply.header.id, 3);
+
+  server.stop();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.tcp_connections, 2u);
+  EXPECT_EQ(stats.malformed, 1u);
+  EXPECT_EQ(stats.tcp_responses, 1u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "analysis/evaluation.hpp"
 #include "analysis/prevalence.hpp"
 #include "core/drongo.hpp"
+#include "dns/daemon_server.hpp"
 #include "dns/proxy.hpp"
 #include "dns/udp.hpp"
 #include "measure/testbed.hpp"
@@ -76,11 +77,13 @@ TEST_F(EndToEndFixture, FullDnsPathThroughProxyOverUdp) {
 
   dns::LdnsProxy proxy(&testbed_->dns_network(), testbed_->resolver_address(),
                        net::Ipv4Addr(127, 0, 0, 53), &drongo);
-  dns::UdpDnsServer udp_server(&proxy, 0);
+  dns::DaemonServerConfig config;
+  config.enable_tcp = false;
+  dns::DaemonServer server(&proxy, config);
 
   dns::UdpDnsClient udp_client(2000);
   const net::Ipv4Addr proxy_identity(198, 18, 200, 1);
-  udp_client.register_endpoint(proxy_identity, udp_server.port());
+  udp_client.register_endpoint(proxy_identity, server.udp_port());
 
   dns::StubResolver stub(&udp_client, testbed_->clients()[0], proxy_identity, 96);
   const auto result = stub.resolve_with_own_subnet(domain);

@@ -1,11 +1,11 @@
-// Differential property harness for the radix LPM trie (and the DnsCache
-// rebased on it): the trie and a naive linear-scan reference model are
-// driven through identical derived-RNG corpora of insert / erase /
+// Differential property harness for the radix LPM trie's v4 side (and the
+// DnsCache rebased on it): IpLpmTrie and a naive linear-scan reference model
+// are driven through identical derived-RNG corpora of insert / erase /
 // longest-match / expiry interleavings across prefix lengths 0-32, and must
 // give identical answers at every step. Any divergence prints the corpus
 // seed, so a failure replays deterministically:
 //
-//   DRONGO_LPM_PROPERTY_SEED=<seed> ./net_tests --gtest_filter='LpmProperty*'
+//   DRONGO_LPM_PROPERTY_SEED=<seed> ./lpm_tests --gtest_filter='LpmProperty*'
 #include "net/lpm.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 
 #include "dns/cache.hpp"
 #include "net/error.hpp"
+#include "net/ipaddr.hpp"
 #include "net/rng.hpp"
 
 namespace drongo::net {
@@ -124,10 +125,10 @@ class PrefixGen {
   std::vector<Prefix> history_;
 };
 
-void expect_same_walk(const LpmTrie<int>& trie, const NaiveLpm& naive,
+void expect_same_walk(const IpLpmTrie<int>& trie, const NaiveLpm& naive,
                       std::uint64_t seed, int round, int step) {
-  std::vector<std::pair<Prefix, int>> walked;
-  trie.walk([&](const Prefix& p, const int& v) { walked.emplace_back(p, v); });
+  std::vector<std::pair<IpPrefix, int>> walked;
+  trie.walk([&](const IpPrefix& p, const int& v) { walked.emplace_back(p, v); });
   ASSERT_EQ(walked.size(), naive.size())
       << "walk size diverged (seed=" << seed << " round=" << round
       << " step=" << step << ")";
@@ -135,7 +136,7 @@ void expect_same_walk(const LpmTrie<int>& trie, const NaiveLpm& naive,
   for (std::size_t i = 0; i < walked.size(); ++i, ++it) {
     // The trie's canonical walk order (shorter prefix before its subtree,
     // zero branch first) IS the map's (network, length) order.
-    ASSERT_EQ(walked[i].first, it->first)
+    ASSERT_EQ(walked[i].first, IpPrefix(it->first))
         << "walk order diverged at " << i << " (seed=" << seed
         << " round=" << round << " step=" << step << ")";
     ASSERT_EQ(walked[i].second, it->second);
@@ -152,7 +153,7 @@ TEST(LpmPropertyTest, TrieMatchesNaiveModelThroughRandomInterleavings) {
   for (int round = 0; round < kRounds; ++round) {
     Rng rng = Rng::derive(seed, static_cast<std::uint64_t>(round));
     PrefixGen gen(&rng);
-    LpmTrie<int> trie;
+    IpLpmTrie<int> trie;
     NaiveLpm naive;
     int next_token = 0;
 
@@ -185,7 +186,7 @@ TEST(LpmPropertyTest, TrieMatchesNaiveModelThroughRandomInterleavings) {
             << "longest_match diverged on " << addr.to_string() << "/<=" << max_len
             << " (seed=" << seed << " round=" << round << " step=" << step << ")";
         if (expect) {
-          ASSERT_EQ(got->prefix, expect->first);
+          ASSERT_EQ(got->prefix, IpPrefix(expect->first));
           ASSERT_EQ(*got->value, expect->second);
         }
         const auto expect_chain = naive.match_chain(addr, max_len);
@@ -194,7 +195,7 @@ TEST(LpmPropertyTest, TrieMatchesNaiveModelThroughRandomInterleavings) {
             << "match_chain diverged on " << addr.to_string() << "/<=" << max_len
             << " (seed=" << seed << " round=" << round << " step=" << step << ")";
         for (std::size_t i = 0; i < got_chain.size(); ++i) {
-          ASSERT_EQ(got_chain[i].prefix, expect_chain[i].first);
+          ASSERT_EQ(got_chain[i].prefix, IpPrefix(expect_chain[i].first));
           ASSERT_EQ(*got_chain[i].value, expect_chain[i].second);
         }
       }
@@ -210,7 +211,7 @@ TEST(LpmPropertyTest, TrieMatchesNaiveModelThroughRandomInterleavings) {
     // Drain the round's survivors through erase so teardown exercises every
     // splice/merge shape the corpus built.
     std::vector<Prefix> leftover;
-    trie.walk([&](const Prefix& p, const int&) { leftover.push_back(p); });
+    trie.walk([&](const IpPrefix& p, const int&) { leftover.push_back(*p.to_v4()); });
     rng.shuffle(leftover);
     for (const Prefix& p : leftover) {
       ASSERT_TRUE(trie.erase(p));
@@ -340,13 +341,29 @@ TEST(LpmPropertyTest, DnsCacheMatchesNaiveModelUnderExpiryInterleavings) {
 }
 
 TEST(LpmPropertyTest, RejectsOutOfRangeLengths) {
-  LpmTrie<int> trie;
-  EXPECT_THROW((void)trie.longest_match(Ipv4Addr(1, 2, 3, 4), 33), InvalidArgument);
-  EXPECT_THROW((void)trie.longest_match(Ipv4Addr(1, 2, 3, 4), -1), InvalidArgument);
+  IpLpmTrie<int> trie;
+  trie.insert(Prefix::must_parse("1.2.3.0/24"), 1);
+  const IpAddr v4(Ipv4Addr(1, 2, 3, 4));
+  // Each family is bounded by its own width: a v4 lookup past /32 is a
+  // caller bug, not a /32 lookup.
+  for (const int bad : {-1, 33, 64, 128}) {
+    EXPECT_THROW((void)trie.longest_match(v4, bad), InvalidArgument) << bad;
+    EXPECT_THROW((void)trie.match_chain(v4, bad), InvalidArgument) << bad;
+  }
+  const IpAddr v6(Ipv6Addr::must_parse("2001:db8::1"));
+  for (const int bad : {-1, 129}) {
+    EXPECT_THROW((void)trie.longest_match(v6, bad), InvalidArgument) << bad;
+    EXPECT_THROW((void)trie.match_chain(v6, bad), InvalidArgument) << bad;
+  }
+  // The edges of each range stay valid.
+  EXPECT_TRUE(trie.longest_match(v4, 32).has_value());
+  EXPECT_FALSE(trie.longest_match(v4, 0).has_value());
+  EXPECT_FALSE(trie.longest_match(v6, 128).has_value());
+  EXPECT_TRUE(trie.match_chain(v6, 0).empty());
 }
 
 TEST(LpmPropertyTest, SlashZeroAndSlash32Coexist) {
-  LpmTrie<int> trie;
+  IpLpmTrie<int> trie;
   trie.insert(Prefix::must_parse("0.0.0.0/0"), 1);
   trie.insert(Prefix::must_parse("10.1.2.3/32"), 2);
   trie.insert(Prefix::must_parse("10.1.2.0/24"), 3);

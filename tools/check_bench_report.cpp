@@ -25,7 +25,7 @@ namespace {
 const std::map<std::string, std::vector<std::string>>& required_fields() {
   static const std::map<std::string, std::vector<std::string>> kRequiredFields = {
       {"daemon",
-       {"qps", "qps_single_listener", "speedup", "p50_ms", "p99_ms", "listeners",
+       {"qps", "qps_naive", "speedup", "p50_ms", "p99_ms", "listeners",
         "batch", "queries", "duration_seconds"}},
   };
   return kRequiredFields;

@@ -21,10 +21,10 @@
 #include "core/drongo.hpp"
 #include "core/probe.hpp"
 #include "core/valley_store.hpp"
+#include "dns/daemon_server.hpp"
 #include "dns/faults.hpp"
 #include "dns/hedge.hpp"
 #include "dns/proxy.hpp"
-#include "dns/udp.hpp"
 #include "measure/campaign.hpp"
 #include "measure/dataset.hpp"
 #include "measure/trial.hpp"
@@ -471,7 +471,7 @@ int cmd_probe(const std::vector<std::string>& args) {
 int cmd_serve(const std::vector<std::string>& args) {
   tools::OptionSet options;
   add_common(options);
-  options.add_option("port", "0", "UDP port (0 = ephemeral)");
+  options.add_option("port", "0", "UDP and TCP port (0 = ephemeral)");
   options.add_option("duration", "30", "seconds to serve");
   options.add_option("vf", "1.0", "minimum valley frequency");
   options.add_option("vt", "0.95", "valley threshold");
@@ -490,13 +490,22 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
   dns::LdnsProxy proxy(&testbed.dns_network(), testbed.resolver_address(),
                        net::Ipv4Addr(127, 0, 0, 53), &drongo);
-  dns::UdpDnsServer server(&proxy, static_cast<std::uint16_t>(options.get_int("port")));
-  std::cout << "Drongo proxy on 127.0.0.1:" << server.port() << " for "
+  // One port for both transports, so `dig +tcp` reaches the same port. The
+  // packet cache is off so every query reaches the proxy and its counters.
+  dns::DaemonServerConfig server_config;
+  server_config.udp_port = static_cast<std::uint16_t>(options.get_int("port"));
+  server_config.tcp_port = server_config.udp_port;
+  server_config.packet_cache_entries = 0;
+  dns::DaemonServer server(&proxy, server_config);
+  std::cout << "Drongo proxy on 127.0.0.1: udp port " << server.udp_port()
+            << ", tcp port " << server.tcp_port() << ", for "
             << options.get_int("duration") << "s\n";
-  std::cout << "  dig @127.0.0.1 -p " << server.port() << " img.googlecdn.sim\n";
+  std::cout << "  dig @127.0.0.1 -p " << server.udp_port() << " img.googlecdn.sim\n";
+  std::cout.flush();
   std::this_thread::sleep_for(std::chrono::seconds(options.get_int("duration")));
-  std::cout << "served " << server.served() << " datagrams, " << proxy.assimilated()
-            << " assimilated\n";
+  server.stop();  // drains: queued queries are answered before the sockets close
+  std::cout << "served " << server.served() << " responses, " << proxy.forwarded()
+            << " forwarded, " << proxy.assimilated() << " assimilated\n";
   return 0;
 }
 
@@ -510,7 +519,7 @@ int cmd_help() {
                "  analyze   analyze a dataset file (Table 1 / Figure 6 views)\n"
                "  sweep     the (vf, vt) parameter sweep with its optimum\n"
                "  probe     unrestricted-ECS provider probe\n"
-               "  serve     run the trained Drongo LDNS proxy over UDP\n"
+               "  serve     run the trained Drongo LDNS proxy over UDP and TCP\n"
                "  help      this text\n\n"
                "common options: --seed N, --clients N, --scale planetlab|ripe,\n"
                "  --fault-profile none|lossy|flaky|ecs-hostile|chaos (DNS fault\n"
