@@ -106,8 +106,9 @@ std::vector<net::Ipv4Addr> make_queries(net::Rng& rng,
   for (std::size_t i = 0; i < 4096; ++i) {
     if (rng.chance(0.75)) {
       const auto& scope = scopes[static_cast<std::size_t>(rng.uniform(scopes.size()))];
+      // A shift by 32 is undefined; a /32 scope has no host bits.
       const std::uint32_t host_mask =
-          scope.length() == 0 ? 0xFFFFFFFFu : (0xFFFFFFFFu >> scope.length());
+          scope.length() >= 32 ? 0u : (0xFFFFFFFFu >> scope.length());
       queries.emplace_back(scope.network().to_uint() |
                            (static_cast<std::uint32_t>(rng.next_u64()) & host_mask));
     } else {

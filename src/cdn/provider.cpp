@@ -157,7 +157,7 @@ CdnProvider::Mapping CdnProvider::compute_mapping(const net::Prefix& key) const 
 CdnProvider::Mapping CdnProvider::mapping_of(const net::Prefix& subnet) const {
   const net::Prefix key = mapping_key(subnet);
   const std::uint32_t id = key.network().to_uint();
-  if (const auto stored = mapping_table_->find(id)) return *stored;
+  if (const Mapping* stored = mapping_table_->lookup(id)) return *stored;
   const Mapping mapping = compute_mapping(key);
   if (world_->is_allocated(net::Prefix(key.network(), 24))) {
     mapping_table_->insert(id, mapping);

@@ -8,6 +8,18 @@
 
 namespace drongo::core {
 
+namespace {
+
+/// `domain` in canonical (lowercase) spelling: `domain` itself when it is
+/// already lowercase, else a lowered copy held in `scratch`.
+std::string_view canonical(const std::string& domain, std::string& scratch) {
+  if (!net::has_upper(domain)) return domain;
+  scratch = net::to_lower(domain);
+  return scratch;
+}
+
+}  // namespace
+
 DecisionEngine::DecisionEngine(DrongoParams params, std::uint64_t seed)
     : params_(params), rng_(seed) {
   if (params_.valley_threshold <= 0.0 || params_.valley_threshold > 1.0) {
@@ -31,7 +43,13 @@ void DecisionEngine::observe(const measure::TrialRecord& trial) {
     return;
   }
   note("core.engine.trials_observed");
-  auto& domain_windows = windows_[net::to_lower(trial.domain)];
+  std::string scratch;
+  const std::string_view key = canonical(trial.domain, scratch);
+  auto slot = windows_.lower_bound(key);
+  if (slot == windows_.end() || slot->first != key) {
+    slot = windows_.try_emplace(slot, std::string(key));
+  }
+  auto& domain_windows = slot->second;
   for (const auto& hop : trial.hops) {
     if (!hop.usable) continue;
     const auto ratio = latency_ratio(trial, hop, params_.convention);
@@ -60,7 +78,8 @@ void DecisionEngine::observe(const measure::TrialRecord& trial) {
 }
 
 std::optional<net::Prefix> DecisionEngine::choose(const std::string& domain) {
-  auto it = windows_.find(net::to_lower(domain));
+  std::string scratch;
+  auto it = windows_.find(canonical(domain, scratch));
   if (it == windows_.end()) {
     if (registry_ != nullptr) registry_->add("core.engine.choices.own_subnet");
     return std::nullopt;
@@ -90,7 +109,8 @@ std::optional<net::Prefix> DecisionEngine::choose(const std::string& domain) {
 std::vector<DecisionEngine::Candidate> DecisionEngine::candidates(
     const std::string& domain) const {
   std::vector<Candidate> out;
-  auto it = windows_.find(net::to_lower(domain));
+  std::string scratch;
+  auto it = windows_.find(canonical(domain, scratch));
   if (it == windows_.end()) return out;
   for (const auto& [subnet, window] : it->second) {
     Candidate c;

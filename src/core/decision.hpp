@@ -90,8 +90,9 @@ class DecisionEngine {
   net::Rng rng_;
   std::uint64_t skipped_trials_ = 0;
   obs::Registry* registry_ = nullptr;  // borrowed; optional telemetry
-  /// domain (canonical) -> subnet -> window.
-  std::map<std::string, std::map<net::Prefix, TrainingWindow>> windows_;
+  /// domain (canonical) -> subnet -> window. Transparent, so a lookup
+  /// by an already-lowercase domain needs no key copy.
+  std::map<std::string, std::map<net::Prefix, TrainingWindow>, std::less<>> windows_;
 };
 
 }  // namespace drongo::core

@@ -108,9 +108,8 @@ std::size_t reserve_for(std::uint16_t count, std::size_t remaining, std::size_t 
   return std::min<std::size_t>(count, remaining / min_size);
 }
 
-// The smallest question (root name, TYPE, CLASS) and record (root name,
-// TYPE, CLASS, TTL, RDLENGTH, empty RDATA) on the wire.
-constexpr std::size_t kMinQuestionSize = 5;
+// The smallest record (root name, TYPE, CLASS, TTL, RDLENGTH, empty RDATA)
+// on the wire.
 constexpr std::size_t kMinRecordSize = 11;
 
 }  // namespace
@@ -223,7 +222,6 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
   const std::uint16_t nscount = r.read_u16();
   const std::uint16_t arcount = r.read_u16();
 
-  m.questions.reserve(reserve_for(qdcount, r.remaining(), kMinQuestionSize));
   for (int i = 0; i < qdcount; ++i) {
     Question& q = m.questions.emplace_back();
     q.name = DnsName::decode(r);

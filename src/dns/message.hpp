@@ -1,9 +1,11 @@
 // DNS message: header, sections, full wire codec, EDNS integration.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dns/edns.hpp"
@@ -36,6 +38,55 @@ struct Question {
   friend bool operator==(const Question&, const Question&) = default;
 };
 
+/// The question section. Every message the stack builds carries exactly
+/// one question, so that one lives inside the object and a message costs no
+/// heap block for it; a decoded message with QDCOUNT > 1 moves all of its
+/// questions into one vector. Contiguous, with the vector calls the codec
+/// and its callers use.
+class QuestionList {
+ public:
+  using value_type = Question;
+  using iterator = Question*;
+  using const_iterator = const Question*;
+
+  [[nodiscard]] std::size_t size() const {
+    return spill_.empty() ? (has_first_ ? 1 : 0) : spill_.size();
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+
+  [[nodiscard]] Question* data() { return spill_.empty() ? &first_ : spill_.data(); }
+  [[nodiscard]] const Question* data() const { return spill_.empty() ? &first_ : spill_.data(); }
+  [[nodiscard]] const_iterator begin() const { return data(); }
+  [[nodiscard]] const_iterator end() const { return data() + size(); }
+
+  Question& operator[](std::size_t i) { return data()[i]; }
+  const Question& operator[](std::size_t i) const { return data()[i]; }
+
+  void push_back(Question q) { emplace_back(std::move(q)); }
+
+  template <typename... Args>
+  Question& emplace_back(Args&&... args) {
+    // Built before anything moves, so an argument may refer into the list.
+    Question q{std::forward<Args>(args)...};
+    if (spill_.empty() && !has_first_) {
+      first_ = std::move(q);
+      has_first_ = true;
+      return first_;
+    }
+    if (spill_.empty()) spill_.push_back(std::move(first_));
+    return spill_.emplace_back(std::move(q));
+  }
+
+  friend bool operator==(const QuestionList& a, const QuestionList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  Question first_;
+  bool has_first_ = false;
+  std::vector<Question> spill_;  // every question, once there are two or more
+};
+
 /// A full DNS message.
 ///
 /// The OPT pseudo-record is lifted out of the additional section into `edns`
@@ -43,7 +94,7 @@ struct Question {
 /// `Message::edns->client_subnet` and never touch OPT wire details.
 struct Message {
   Header header;
-  std::vector<Question> questions;
+  QuestionList questions;
   std::vector<ResourceRecord> answers;
   std::vector<ResourceRecord> authority;
   std::vector<ResourceRecord> additional;

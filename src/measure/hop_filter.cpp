@@ -24,7 +24,8 @@ std::vector<bool> usable_hops(const topology::World& world, const net::IpAddr& c
                               const HopFilterConfig& config) {
   const net::IpPrefix client_site(client, site_bits(client.family()));
   const net::Asn client_asn = world.asn_of(client);
-  const std::string client_domain = net::registrable_domain(world.rdns_of(client));
+  const std::string client_rdns = world.rdns_of(client);
+  const std::string_view client_domain = net::registrable_domain_view(client_rdns);
 
   std::vector<bool> usable(hops.size(), false);
   bool past_filter = false;
@@ -51,8 +52,8 @@ std::vector<bool> usable_hops(const topology::World& world, const net::IpAddr& c
       passes = false;
     }
     if (passes && config.require_different_domain) {
-      const std::string hop_domain = net::registrable_domain(hop.rdns);
-      if (!hop_domain.empty() && hop_domain == client_domain) passes = false;
+      const std::string_view hop_domain = net::registrable_domain_view(hop.rdns);
+      if (!hop_domain.empty() && net::iequals(hop_domain, client_domain)) passes = false;
     }
     if (passes) {
       usable[i] = true;

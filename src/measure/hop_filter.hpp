@@ -1,7 +1,7 @@
 // Usable-hop filtering (paper §3.1).
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/ipaddr.hpp"
@@ -31,7 +31,7 @@ struct HopFilterConfig {
 /// legacy overload below.
 struct IpHop {
   net::IpAddr ip;
-  std::string rdns;
+  std::string_view rdns;  ///< a view: the name must outlive the hop
   net::Asn asn;
   bool is_private = false;
   bool responded = true;

@@ -172,7 +172,7 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
     if (config_.resolve_hop_names_via_dns) {
       for (auto& hop : hops) {
         if (hop.is_private || !hop.responded) {
-          hop.rdns.clear();
+          hop.rdns = {};
           continue;
         }
         auto it = ptr_cache.find(hop.ip);

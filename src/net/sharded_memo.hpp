@@ -1,12 +1,14 @@
 // ShardedMemo: a concurrent memo for deterministic pure functions.
 //
-// The pattern behind World's one-way delay memo and CdnProvider's mapping
-// table: a fixed array of shards, each an unordered_map behind a
-// shared_mutex, selected by a mixed hash of the key. Lookups take a shared
-// lock on one shard, so parallel campaign workers only contend when they
-// insert into the same shard. The memoized function must be pure: a racing
-// miss recomputes the same value and the first insert wins, so callers
-// compute outside any lock.
+// The pattern behind World's one-way delay, traceroute-skeleton and name
+// memos and CdnProvider's mapping table: a fixed array of shards, each an
+// unordered_map behind a shared_mutex, selected by a mixed hash of the key.
+// Lookups take a shared lock on one shard, so parallel campaign workers
+// only contend when they insert into the same shard. The memoized function
+// must be pure: a racing miss recomputes the same value and the first
+// insert wins, so callers compute outside any lock. Entries are never
+// erased, so a stored value can be handed out by reference (lookup,
+// insert) instead of copied.
 #pragma once
 
 #include <array>
@@ -14,9 +16,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
+#include <utility>
 
 namespace drongo::net {
 
@@ -25,19 +27,22 @@ class ShardedMemo {
  public:
   static constexpr std::size_t kShards = 16;
 
-  /// The stored value for `key`, or nullopt on a miss.
-  [[nodiscard]] std::optional<Value> find(const Key& key) const {
+  /// The stored value for `key`, or nullptr on a miss.
+  /// Entries are never erased and unordered_map keeps element addresses
+  /// across rehashing, so the pointer is valid for the memo's lifetime.
+  [[nodiscard]] const Value* lookup(const Key& key) const {
     const Shard& shard = shard_of(key);
     std::shared_lock lock(shard.mutex);
-    if (auto it = shard.values.find(key); it != shard.values.end()) return it->second;
-    return std::nullopt;
+    const auto it = shard.values.find(key);
+    return it == shard.values.end() ? nullptr : &it->second;
   }
 
-  /// Stores `value` unless `key` is already present (first insert wins).
-  void insert(const Key& key, const Value& value) {
+  /// Stores `value` unless `key` is already present (first insert wins) and
+  /// returns the stored value, valid for the memo's lifetime.
+  const Value& insert(const Key& key, Value value) {
     Shard& shard = shard_of(key);
     std::unique_lock lock(shard.mutex);
-    shard.values.try_emplace(key, value);
+    return shard.values.try_emplace(key, std::move(value)).first->second;
   }
 
   /// Entries stored across all shards.

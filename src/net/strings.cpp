@@ -24,6 +24,18 @@ std::string to_lower(std::string_view text) {
   return out;
 }
 
+namespace {
+char ascii_lower(char c) { return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c; }
+}  // namespace
+
+bool has_upper(std::string_view text) {
+  return std::ranges::any_of(text, [](char c) { return c >= 'A' && c <= 'Z'; });
+}
+
+bool iequals(std::string_view a, std::string_view b) {
+  return std::ranges::equal(a, b, [](char x, char y) { return ascii_lower(x) == ascii_lower(y); });
+}
+
 bool domain_has_suffix(std::string_view name, std::string_view suffix) {
   if (suffix.empty()) return true;
   std::string n = to_lower(name);
@@ -33,12 +45,15 @@ bool domain_has_suffix(std::string_view name, std::string_view suffix) {
   return n.ends_with(s) && n[n.size() - s.size() - 1] == '.';
 }
 
-std::string registrable_domain(std::string_view name) {
-  auto labels = split(name, '.');
-  // Drop a trailing empty label from a fully-qualified "name." form.
-  if (!labels.empty() && labels.back().empty()) labels.pop_back();
-  if (labels.size() <= 2) return to_lower(name);
-  return to_lower(labels[labels.size() - 2] + "." + labels[labels.size() - 1]);
+std::string_view registrable_domain_view(std::string_view name) {
+  // A trailing dot (fully-qualified "name.") ends no label of its own.
+  std::string_view body = name;
+  if (body.ends_with('.')) body.remove_suffix(1);
+  const std::size_t last_dot = body.rfind('.');
+  if (last_dot == std::string_view::npos || last_dot == 0) return name;
+  const std::size_t second_dot = body.rfind('.', last_dot - 1);
+  if (second_dot == std::string_view::npos) return name;
+  return body.substr(second_dot + 1);
 }
 
 }  // namespace drongo::net

@@ -146,6 +146,11 @@ std::string World::rdns_of(net::Ipv4Addr ip) const {
   return "";
 }
 
+std::string_view World::rdns_view(net::Ipv4Addr ip) {
+  if (const std::string* name = names_.lookup(ip)) return *name;
+  return names_.insert(ip, rdns_of(ip));
+}
+
 std::optional<GeoPoint> World::location_of(net::Ipv4Addr ip) const {
   if (auto it = hosts_.find(ip); it != hosts_.end()) return it->second.location;
   if (auto it = anycast_.find(ip); it != anycast_.end()) {
@@ -325,7 +330,7 @@ double World::one_way_base_ms(net::Ipv4Addr src, net::Ipv4Addr dst) {
   const net::Ipv4Addr real_dst = resolve_anycast(src, dst);
   const std::uint64_t key =
       (std::uint64_t{src.to_uint()} << 32) | real_dst.to_uint();
-  if (const auto cached = one_way_cache_.find(key)) return *cached;
+  if (const double* cached = one_way_cache_.lookup(key)) return *cached;
   // The path is deterministic, so concurrent misses on the same pair agree
   // on the value.
   const auto points = pop_path(endpoint_of(src), endpoint_of(real_dst));
@@ -346,13 +351,44 @@ double World::rtt_sample_ms(net::Ipv4Addr src, net::Ipv4Addr dst, net::Rng& rng)
   return rtt;
 }
 
-std::vector<TracerouteHop> World::traceroute(net::Ipv4Addr src, net::Ipv4Addr dst,
-                                             net::Rng& rng) {
+std::vector<World::SkeletonHop> World::traceroute_skeleton(net::Ipv4Addr src,
+                                                           net::Ipv4Addr dst) {
   const net::Ipv4Addr real_dst = resolve_anycast(src, dst);
   const Host& s = host(src);
   const Host& d = host(real_dst);
-  std::vector<TracerouteHop> hops;
+  const auto points = pop_path(s, d);
+  std::vector<SkeletonHop> hops;
+  hops.reserve(2 * (points.size() - 1) + 1);
+  // Every PoP waypoint (except the synthetic final host point) renders as
+  // two router hops — the PoP's edge and core routers, which live in
+  // separate /24s, as real traceroutes show multiple interfaces per site.
+  for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+    const PathPoint& p = points[i];
+    const int slot = 1 + static_cast<int>(i % 3);
+    for (int stage = 0; stage < 2; ++stage) {
+      SkeletonHop hop;
+      hop.ip = router_address(p.as_index, p.pop_index, slot, /*edge=*/stage == 0);
+      hop.rdns = rdns_view(hop.ip);
+      hop.asn = graph_.node(p.as_index).asn;
+      hop.base_rtt_ms = 2.0 * p.cumulative_one_way_ms + stage * 0.2;
+      hops.push_back(hop);
+    }
+  }
+  hops.push_back({real_dst, graph_.node(d.as_index).asn,
+                  2.0 * points.back().cumulative_one_way_ms, rdns_view(real_dst)});
+  return hops;
+}
 
+std::vector<TracerouteHop> World::traceroute(net::Ipv4Addr src, net::Ipv4Addr dst,
+                                             net::Rng& rng) {
+  const std::uint64_t key = (std::uint64_t{src.to_uint()} << 32) | dst.to_uint();
+  const std::vector<SkeletonHop>* skeleton = skeleton_cache_.lookup(key);
+  // The skeleton is deterministic, so concurrent misses on the same pair
+  // agree on it; the first insert is the one every caller then reads.
+  if (skeleton == nullptr) skeleton = &skeleton_cache_.insert(key, traceroute_skeleton(src, dst));
+
+  std::vector<TracerouteHop> hops;
+  hops.reserve(skeleton->size() + (config_.first_hop_private ? 1 : 0));
   if (config_.first_hop_private) {
     TracerouteHop gw;
     gw.ip = net::Ipv4Addr(192, 168, 0, 1);
@@ -362,33 +398,18 @@ std::vector<TracerouteHop> World::traceroute(net::Ipv4Addr src, net::Ipv4Addr ds
     gw.rtt_ms = 2.0 * rng.uniform_real(0.3, 2.0);
     hops.push_back(gw);
   }
-
-  const auto points = pop_path(s, d);
-  // Every PoP waypoint (except the synthetic final host point) renders as
-  // two router hops — the PoP's edge and core routers, which live in
-  // separate /24s, as real traceroutes show multiple interfaces per site.
-  for (std::size_t i = 0; i + 1 < points.size(); ++i) {
-    const PathPoint& p = points[i];
-    const int slot = 1 + static_cast<int>(i % 3);
-    for (int stage = 0; stage < 2; ++stage) {
-      TracerouteHop hop;
-      hop.ip = router_address(p.as_index, p.pop_index, slot, /*edge=*/stage == 0);
-      hop.rdns = rdns_of(hop.ip);
-      hop.asn = graph_.node(p.as_index).asn;
-      hop.rtt_ms = (2.0 * p.cumulative_one_way_ms + stage * 0.2) *
-                   rng.lognormal(0.0, config_.rtt_noise_sigma);
-      hop.responded = !rng.chance(config_.unresponsive_hop_prob);
-      hops.push_back(hop);
-    }
+  // Draw order per router hop: noise, then the unresponsive chance; the
+  // destination draws noise only.
+  for (std::size_t i = 0; i < skeleton->size(); ++i) {
+    const SkeletonHop& at = (*skeleton)[i];
+    TracerouteHop hop;
+    hop.ip = at.ip;
+    hop.rdns = at.rdns;
+    hop.asn = at.asn;
+    hop.rtt_ms = at.base_rtt_ms * rng.lognormal(0.0, config_.rtt_noise_sigma);
+    if (i + 1 < skeleton->size()) hop.responded = !rng.chance(config_.unresponsive_hop_prob);
+    hops.push_back(hop);
   }
-
-  TracerouteHop last;
-  last.ip = real_dst;
-  last.rdns = rdns_of(real_dst);
-  last.asn = graph_.node(d.as_index).asn;
-  last.rtt_ms = 2.0 * points.back().cumulative_one_way_ms *
-                rng.lognormal(0.0, config_.rtt_noise_sigma);
-  hops.push_back(last);
   return hops;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -66,7 +67,9 @@ struct WorldConfig {
 /// One traceroute line.
 struct TracerouteHop {
   net::Ipv4Addr ip;
-  std::string rdns;        ///< reverse-DNS name ("r3.frankfurt.bbone1.net")
+  /// Reverse-DNS name ("core3.frankfurt.bbone1.net"): a view into the
+  /// world's name table, valid while the World lives.
+  std::string_view rdns;
   net::Asn asn;            ///< AS0 for private/unresponsive hops
   double rtt_ms = 0.0;     ///< probe RTT to this hop
   bool is_private = false;
@@ -135,6 +138,11 @@ class World {
   /// Reverse-DNS name for hosts and routers; empty when unknown.
   [[nodiscard]] std::string rdns_of(net::Ipv4Addr ip) const;
 
+  /// rdns_of(ip) interned in the world's name table, built once per
+  /// address: the view stays valid while the World lives. Like the latency
+  /// memos, it assumes setup (add_host) is over before the first query.
+  [[nodiscard]] std::string_view rdns_view(net::Ipv4Addr ip);
+
   // ---- Dual-stack identity ------------------------------------------------
   // The world's address plan is v4; its v6 face is the sim embedding
   // (2001:db8::/32 with the v4 identity at bits 32..63). These overloads
@@ -195,6 +203,11 @@ class World {
   /// and occasional unresponsive hops per config. The destination itself is
   /// the final entry. Toward an anycast address, the trace follows the path
   /// to the nearest instance (as real anycast does).
+  ///
+  /// The path's deterministic part (addresses, names, ASNs, base RTTs) is
+  /// memoized per (src, dst); a call draws only the gateway RTT, each hop's
+  /// noise and its unresponsive chance, so a warm call allocates just the
+  /// returned vector.
   std::vector<TracerouteHop> traceroute(net::Ipv4Addr src, net::Ipv4Addr dst,
                                         net::Rng& rng);
 
@@ -207,6 +220,19 @@ class World {
     int pop_index;
     double cumulative_one_way_ms;  ///< up to arrival at this PoP
   };
+
+  /// The RNG-free part of one traceroute line. Ordered to pack into 32 bytes:
+  /// a memo entry per (src, dst) pair keeps ~8 of these for the World's life.
+  struct SkeletonHop {
+    net::Ipv4Addr ip;
+    net::Asn asn;
+    double base_rtt_ms = 0.0;  ///< scaled by the per-call lognormal draw
+    std::string_view rdns;
+  };
+
+  /// The router hops of the path from src toward dst, then the (anycast
+  /// resolved) destination as the last entry.
+  std::vector<SkeletonHop> traceroute_skeleton(net::Ipv4Addr src, net::Ipv4Addr dst);
 
   /// Router address for (AS, PoP): two /24s per PoP (core at third octet
   /// 2*pop, edge at 2*pop+1), `slot` selecting the interface.
@@ -235,6 +261,12 @@ class World {
   /// The one-way delay memo, keyed by (src, resolved dst), sharded to keep
   /// parallel campaign workers from serializing on one lock.
   net::ShardedMemo<std::uint64_t, double> one_way_cache_;
+  /// Traceroute skeletons keyed by (src, dst as asked, anycast unresolved).
+  /// Valid under the one-way memo's rule: add_host/add_anycast finish
+  /// before the first query.
+  net::ShardedMemo<std::uint64_t, std::vector<SkeletonHop>> skeleton_cache_;
+  /// The name table behind rdns_view and every skeleton's rdns.
+  net::ShardedMemo<net::Ipv4Addr, std::string> names_;
 };
 
 }  // namespace drongo::topology

@@ -17,10 +17,12 @@ namespace {
 
 TEST(ShardedMemoTest, FirstInsertWinsAndSizeCountsAllShards) {
   net::ShardedMemo<std::uint32_t, int> memo;
-  EXPECT_FALSE(memo.find(7).has_value());
+  EXPECT_EQ(memo.lookup(7), nullptr);
   for (std::uint32_t k = 0; k < 100; ++k) memo.insert(k, static_cast<int>(k));
-  memo.insert(7, -1);
-  EXPECT_EQ(memo.find(7), 7);
+  const int* stored = memo.lookup(7);
+  EXPECT_EQ(&memo.insert(7, -1), stored);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, 7);
   EXPECT_EQ(memo.size(), 100u);
 }
 

@@ -3,7 +3,8 @@
 // assert how many heap allocations one operation makes on this thread:
 // names within DnsName's inline capacity never allocate, an encode
 // allocates exactly its wire, a resolution through a Testbed stays within
-// a pinned budget, and a training window's add() never allocates.
+// a pinned budget, a warm traceroute allocates only its hop vector, and a
+// training window's add() never allocates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,14 +161,18 @@ TEST(AllocBudgetTest, EncodeAllocatesOnceAndExactly) {
   }
 }
 
-TEST(AllocBudgetTest, ResolutionsThroughATestbedStayWithinBudget) {
+measure::TestbedConfig small_testbed() {
   measure::TestbedConfig config;
   config.as_config.tier1_count = 4;
   config.as_config.tier2_count = 8;
   config.as_config.stub_count = 20;
   config.client_count = 2;
   config.seed = 121;
-  measure::Testbed testbed(config);
+  return config;
+}
+
+TEST(AllocBudgetTest, ResolutionsThroughATestbedStayWithinBudget) {
+  measure::Testbed testbed(small_testbed());
   const net::Ipv4Addr client = testbed.clients()[0];
   const dns::DnsName& name = testbed.content_names(0).front();
   const net::Ipv4Addr router(testbed.world().block_of(0).network().to_uint() | 1u);
@@ -178,12 +183,13 @@ TEST(AllocBudgetTest, ResolutionsThroughATestbedStayWithinBudget) {
 
   // Pinned from the measured counts. Both hops (stub -> resolver ->
   // authoritative) build, encode and decode a message each way: four
-  // encodes (one exact-size wire each), eight question vectors, the answer
-  // sections that hold records, and the result (A: the replica list and
-  // the address vectors; PTR: the name strings). A regression in any
-  // layer's heap traffic trips this.
-  constexpr std::uint64_t kResolveBudget = 21;
-  constexpr std::uint64_t kPtrBudget = 18;
+  // encodes (one exact-size wire each), the answer sections that hold
+  // records, and the result (A: the replica list and the address vectors;
+  // PTR: the name strings). The eight messages' single questions live
+  // inline and cost nothing. A regression in any layer's heap traffic
+  // trips this.
+  constexpr std::uint64_t kResolveBudget = 13;
+  constexpr std::uint64_t kPtrBudget = 10;
   const std::uint64_t resolve = allocations_in([&] {
     EXPECT_TRUE(stub.resolve_with_own_subnet(name).ok());
   });
@@ -191,6 +197,27 @@ TEST(AllocBudgetTest, ResolutionsThroughATestbedStayWithinBudget) {
   EXPECT_LE(resolve, kResolveBudget);
   EXPECT_LE(ptr, kPtrBudget);
   std::cout << "allocations: A resolution " << resolve << ", PTR resolution " << ptr << "\n";
+}
+
+TEST(AllocBudgetTest, WarmTracerouteAllocatesOnlyItsHops) {
+  measure::Testbed testbed(small_testbed());
+  topology::World& world = testbed.world();
+  const net::Ipv4Addr client = testbed.clients()[0];
+  std::vector<net::Ipv4Addr> targets;
+  for (std::size_t p = 0; p < testbed.provider_count(); ++p) {
+    targets.push_back(testbed.provider(p).clusters().front().replicas.front());
+    const auto& vips = testbed.provider(p).vips();
+    if (!vips.empty()) targets.push_back(vips.front());
+  }
+  ASSERT_GT(targets.size(), testbed.provider_count()) << "no anycast VIP to trace toward";
+  for (const net::Ipv4Addr target : targets) {
+    net::Rng rng(3);
+    (void)world.traceroute(client, target, rng);  // fills the skeleton memo
+    std::vector<topology::TracerouteHop> hops;
+    EXPECT_EQ(allocations_in([&] { hops = world.traceroute(client, target, rng); }), 1u)
+        << "toward " << target.to_string();
+    EXPECT_GE(hops.size(), 3u);
+  }
 }
 
 TEST(AllocBudgetTest, TrainingWindowAddDoesNotAllocate) {

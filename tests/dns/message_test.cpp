@@ -142,6 +142,26 @@ TEST(MessageTest, EmptyMessageRoundTrips) {
   EXPECT_FALSE(decoded.edns.has_value());
 }
 
+TEST(MessageTest, SeveralQuestionsRoundTripInOrder) {
+  // One question is stored inline; a second moves every question into the
+  // overflow vector, including one copied from the list itself.
+  Message m = Message::make_query(9, DnsName::must_parse("a.cdn.sim"));
+  m.questions.push_back(m.questions[0]);
+  m.questions.push_back({DnsName::must_parse("b.cdn.sim"), RrType::kPtr, RrClass::kIn});
+  ASSERT_EQ(m.questions.size(), 3u);
+  EXPECT_EQ(m.questions[1], m.questions[0]);
+
+  const auto wire = m.encode();
+  EXPECT_EQ(wire[5], 3);  // QDCOUNT
+  const auto decoded = Message::decode(wire);
+  ASSERT_EQ(decoded.questions.size(), 3u);
+  EXPECT_EQ(decoded.questions, m.questions);
+  EXPECT_EQ(decoded.questions[2].name, DnsName::must_parse("b.cdn.sim"));
+  EXPECT_EQ(decoded.questions[2].type, RrType::kPtr);
+  const Message single = Message::make_query(9, DnsName::must_parse("a.cdn.sim"));
+  EXPECT_FALSE(decoded.questions == single.questions);
+}
+
 TEST(MessageTest, OtherEdnsOptionsSurviveRoundTrip) {
   Message m = Message::make_query(5, DnsName::must_parse("x.y"),
                                   net::Prefix::must_parse("10.0.0.0/24"));

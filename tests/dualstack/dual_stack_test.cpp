@@ -215,7 +215,7 @@ class DualStackHopFilterFixture : public ::testing::Test {
     const net::Ipv4Addr v4(world_.block_of(as_index).network().to_uint() |
                            (static_cast<std::uint32_t>(third_octet) << 8) | 1u);
     return measure::IpHop{net::IpAddr(topology::World::v6_of(v4)),
-                          world_.rdns_of(v4), world_.asn_of(v4), false, true};
+                          world_.rdns_view(v4), world_.asn_of(v4), false, true};
   }
 
   topology::World world_;

@@ -1,6 +1,8 @@
 // The §3.1 usable-hop filter.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "measure/hop_filter.hpp"
 #include "topology/as_gen.hpp"
 
@@ -32,7 +34,7 @@ class HopFilterFixture : public ::testing::Test {
     topology::TracerouteHop hop;
     hop.ip = net::Ipv4Addr(world_.block_of(as_index).network().to_uint() |
                            (static_cast<std::uint32_t>(third_octet) << 8) | 1u);
-    hop.rdns = world_.rdns_of(hop.ip);
+    hop.rdns = world_.rdns_view(hop.ip);
     hop.asn = world_.asn_of(hop.ip);
     return hop;
   }
@@ -98,7 +100,8 @@ TEST_F(HopFilterFixture, DomainConditionCatchesSharedOperator) {
   // Synthetic hop with the client's registrable domain but another AS/IP:
   // the domain rule alone must reject it.
   auto hop = hop_in_as(1);
-  hop.rdns = "edge1.metro." + world_.graph().node(client_as_).domain;
+  const std::string name = "edge1.metro." + world_.graph().node(client_as_).domain;
+  hop.rdns = name;
   HopFilterConfig domain_only;
   domain_only.require_different_slash16 = false;
   domain_only.require_different_asn = false;

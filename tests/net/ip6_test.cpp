@@ -264,8 +264,9 @@ TEST(BogonTest, V4TableMirrorsIsGlobalUnicastExactly) {
   for (const auto& range : kBogonRangesV4) {
     check(range.bits);
     check(range.bits - 1);
+    // A shift by 32 is undefined; a /32 range spans no further address.
     const std::uint32_t span =
-        range.length == 0 ? ~std::uint32_t{0} : (~std::uint32_t{0} >> range.length);
+        range.length >= 32 ? 0u : (~std::uint32_t{0} >> range.length);
     check(range.bits + span);
     check(range.bits + span + 1);
   }

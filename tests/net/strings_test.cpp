@@ -57,15 +57,17 @@ TEST(DomainSuffixTest, EmptySuffixMatchesEverything) {
 }
 
 TEST(RegistrableDomainTest, LastTwoLabels) {
-  EXPECT_EQ(registrable_domain("r7.core.att.net"), "att.net");
-  EXPECT_EQ(registrable_domain("edge1.frankfurt.bbone3.net"), "bbone3.net");
-  EXPECT_EQ(registrable_domain("host.example"), "host.example");
-  EXPECT_EQ(registrable_domain("single"), "single");
-  EXPECT_EQ(registrable_domain("A.B.C.D"), "c.d");
+  EXPECT_EQ(registrable_domain_view("r7.core.att.net"), "att.net");
+  EXPECT_EQ(registrable_domain_view("edge1.frankfurt.bbone3.net"), "bbone3.net");
+  EXPECT_EQ(registrable_domain_view("host.example"), "host.example");
+  EXPECT_EQ(registrable_domain_view("single"), "single");
+  // A view keeps the original case; the hop filter compares with iequals.
+  EXPECT_EQ(registrable_domain_view("A.B.C.D"), "C.D");
+  EXPECT_TRUE(iequals(registrable_domain_view("A.B.C.D"), "c.d"));
 }
 
 TEST(RegistrableDomainTest, HandlesTrailingDot) {
-  EXPECT_EQ(registrable_domain("www.example.com."), "example.com");
+  EXPECT_EQ(registrable_domain_view("www.example.com."), "example.com");
 }
 
 }  // namespace
