@@ -45,6 +45,22 @@ Evaluation::Evaluation(measure::Testbed* testbed, std::uint64_t seed,
     campaign_[tasks[i].client_index][tasks[i].provider_index].push_back(
         std::move(records[i]));
   }
+
+  // The training windows depend on the records alone, never on (vf, vt),
+  // so each pair's engine is trained once here and every evaluate() only
+  // re-scores it.
+  core::DrongoParams params;
+  params.window_size = static_cast<std::size_t>(config_.training_trials);
+  params.convention = config_.convention;
+  engines_.reserve(client_count_ * providers);
+  for (const auto& per_client : campaign_) {
+    for (const auto& trials : per_client) {
+      core::DecisionEngine& engine = engines_.emplace_back(params);
+      for (int t = 0; t < config_.training_trials; ++t) {
+        engine.observe(trials[static_cast<std::size_t>(t)]);
+      }
+    }
+  }
 }
 
 const std::vector<measure::TrialRecord>& Evaluation::records(
@@ -54,6 +70,7 @@ const std::vector<measure::TrialRecord>& Evaluation::records(
 
 std::vector<EvalSample> Evaluation::evaluate(double min_valley_frequency,
                                              double valley_threshold) const {
+  core::validate_thresholds(valley_threshold, min_valley_frequency);
   std::vector<EvalSample> samples;
   samples.reserve(client_count_ * providers_.size() *
                   static_cast<std::size_t>(config_.test_trials));
@@ -61,25 +78,25 @@ std::vector<EvalSample> Evaluation::evaluate(double min_valley_frequency,
   for (std::size_t c = 0; c < client_count_; ++c) {
     for (std::size_t p = 0; p < providers_.size(); ++p) {
       const auto& trials = campaign_[c][p];
-      core::DrongoParams params;
-      params.valley_threshold = valley_threshold;
-      params.min_valley_frequency = min_valley_frequency;
-      params.window_size = static_cast<std::size_t>(config_.training_trials);
-      params.convention = config_.convention;
+      const core::DecisionEngine& engine = engines_[c * providers_.size() + p];
       // Deterministic tie-breaking per (client, provider) so sweeps are
       // reproducible point to point.
-      core::DecisionEngine engine(params, (c + 1) * 1000003ULL + p);
-      for (int t = 0; t < config_.training_trials; ++t) {
-        engine.observe(trials[static_cast<std::size_t>(t)]);
-      }
-
+      net::Rng rng((c + 1) * 1000003ULL + p);
+      // The pair's test trials share one pinned domain, so one shortlist
+      // usually serves all of them; only the tie-break draw is per trial.
+      core::DecisionEngine::Shortlist shortlist;
+      const std::string* shortlisted = nullptr;  // the domain `shortlist` is for
       for (std::size_t t = static_cast<std::size_t>(config_.training_trials);
            t < trials.size(); ++t) {
         const auto& trial = trials[t];
         EvalSample sample;
         sample.provider = providers_[p];
         sample.client_index = c;
-        const auto chosen = engine.choose(trial.domain);
+        if (shortlisted == nullptr || *shortlisted != trial.domain) {
+          shortlist = engine.shortlist(trial.domain, valley_threshold, min_valley_frequency);
+          shortlisted = &trial.domain;
+        }
+        const auto chosen = core::DecisionEngine::pick(shortlist, rng);
         if (chosen) {
           // Drongo would issue the test query with this subnet; the test
           // trial holds the HR-set that subnet received at test time. If

@@ -48,7 +48,10 @@ class Evaluation {
 
   [[nodiscard]] const EvaluationConfig& config() const { return config_; }
 
-  /// Applies Drongo with the given parameters to every test trial.
+  /// Applies Drongo with the given parameters to every test trial, scoring
+  /// the windows trained at construction. Read-only: several threads may
+  /// call it on one Evaluation at once. Throws net::InvalidArgument for a
+  /// vt outside (0, 1] or a vf outside [0, 1].
   [[nodiscard]] std::vector<EvalSample> evaluate(double min_valley_frequency,
                                                  double valley_threshold) const;
 
@@ -88,6 +91,9 @@ class Evaluation {
   std::vector<std::string> providers_;
   /// [client][provider] -> trials in time order.
   std::vector<std::vector<std::vector<measure::TrialRecord>>> campaign_;
+  /// [client * providers + provider] -> engine trained on the pair's
+  /// training trials.
+  std::vector<core::DecisionEngine> engines_;
 };
 
 /// Per-client view of an evaluation: who actually benefits?

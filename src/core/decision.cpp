@@ -12,22 +12,34 @@ namespace {
 
 /// `domain` in canonical (lowercase) spelling: `domain` itself when it is
 /// already lowercase, else a lowered copy held in `scratch`.
-std::string_view canonical(const std::string& domain, std::string& scratch) {
+std::string_view canonical(std::string_view domain, std::string& scratch) {
   if (!net::has_upper(domain)) return domain;
   scratch = net::to_lower(domain);
   return scratch;
 }
 
+/// A window's valley frequency at vt when the window qualifies under vf
+/// (§4.3: full, at least vf, and nonzero), else a negative value.
+double qualified_frequency(const TrainingWindow& window, double vt, double vf) {
+  if (!window.full()) return -1.0;
+  const double frequency = window.valley_frequency(vt);
+  return frequency >= vf && frequency > 0.0 ? frequency : -1.0;
+}
+
 }  // namespace
+
+void validate_thresholds(double valley_threshold, double min_valley_frequency) {
+  if (valley_threshold <= 0.0 || valley_threshold > 1.0) {
+    throw net::InvalidArgument("valley threshold must be in (0, 1]");
+  }
+  if (min_valley_frequency < 0.0 || min_valley_frequency > 1.0) {
+    throw net::InvalidArgument("valley frequency must be in [0, 1]");
+  }
+}
 
 DecisionEngine::DecisionEngine(DrongoParams params, std::uint64_t seed)
     : params_(params), rng_(seed) {
-  if (params_.valley_threshold <= 0.0 || params_.valley_threshold > 1.0) {
-    throw net::InvalidArgument("valley threshold must be in (0, 1]");
-  }
-  if (params_.min_valley_frequency < 0.0 || params_.min_valley_frequency > 1.0) {
-    throw net::InvalidArgument("valley frequency must be in [0, 1]");
-  }
+  validate_thresholds(params_.valley_threshold, params_.min_valley_frequency);
 }
 
 void DecisionEngine::observe(const measure::TrialRecord& trial) {
@@ -78,32 +90,54 @@ void DecisionEngine::observe(const measure::TrialRecord& trial) {
 }
 
 std::optional<net::Prefix> DecisionEngine::choose(const std::string& domain) {
-  std::string scratch;
-  auto it = windows_.find(canonical(domain, scratch));
-  if (it == windows_.end()) {
-    if (registry_ != nullptr) registry_->add("core.engine.choices.own_subnet");
-    return std::nullopt;
+  const auto chosen =
+      choose(domain, params_.valley_threshold, params_.min_valley_frequency, rng_);
+  if (registry_ != nullptr) {
+    registry_->add(chosen ? "core.engine.choices.assimilate" : "core.engine.choices.own_subnet");
   }
+  return chosen;
+}
 
-  double best_vf = -1.0;
-  std::vector<net::Prefix> best;
+std::optional<net::Prefix> DecisionEngine::choose(std::string_view domain, double vt, double vf,
+                                                  net::Rng& rng) const {
+  return pick(shortlist(domain, vt, vf), rng);
+}
+
+DecisionEngine::Shortlist DecisionEngine::shortlist(std::string_view domain, double vt,
+                                                    double vf) const {
+  Shortlist out;
+  std::string scratch;
+  const auto it = windows_.find(canonical(domain, scratch));
+  if (it == windows_.end()) return out;
+  out.windows = &it->second;
+  out.vt = vt;
+  out.vf = vf;
+  // Highest valley frequency wins (§4.3).
   for (const auto& [subnet, window] : it->second) {
-    if (!window.full()) continue;
-    const double vf = window.valley_frequency(params_.valley_threshold);
-    if (vf < params_.min_valley_frequency || vf <= 0.0) continue;
-    if (vf > best_vf) {
-      best_vf = vf;
-      best.clear();
+    const double frequency = qualified_frequency(window, vt, vf);
+    if (frequency < 0.0) continue;
+    if (frequency > out.best) {
+      out.best = frequency;
+      out.ties = 0;
+      out.first = &subnet;
     }
-    if (vf == best_vf) best.push_back(subnet);
+    if (frequency == out.best) ++out.ties;
   }
-  if (best.empty()) {
-    if (registry_ != nullptr) registry_->add("core.engine.choices.own_subnet");
-    return std::nullopt;
+  return out;
+}
+
+std::optional<net::Prefix> DecisionEngine::pick(const Shortlist& shortlist, net::Rng& rng) {
+  if (shortlist.ties == 0) return std::nullopt;
+  std::size_t drawn = rng.index(shortlist.ties);
+  if (drawn == 0) return *shortlist.first;
+  // The drawn tie, in subnet order: a second pass over the same windows.
+  for (const auto& [subnet, window] : *shortlist.windows) {
+    if (qualified_frequency(window, shortlist.vt, shortlist.vf) == shortlist.best &&
+        drawn-- == 0) {
+      return subnet;
+    }
   }
-  // Highest valley frequency wins; ties are broken randomly (§4.3).
-  if (registry_ != nullptr) registry_->add("core.engine.choices.assimilate");
-  return best[rng_.index(best.size())];
+  return std::nullopt;  // unreachable: the pass sees the same `ties` subnets
 }
 
 std::vector<DecisionEngine::Candidate> DecisionEngine::candidates(
@@ -117,8 +151,9 @@ std::vector<DecisionEngine::Candidate> DecisionEngine::candidates(
     c.subnet = subnet;
     c.valley_frequency = window.valley_frequency(params_.valley_threshold);
     c.observations = window.size();
-    c.qualified = window.full() && c.valley_frequency >= params_.min_valley_frequency &&
-                  c.valley_frequency > 0.0;
+    c.qualified =
+        qualified_frequency(window, params_.valley_threshold, params_.min_valley_frequency) >=
+        0.0;
     out.push_back(c);
   }
   return out;

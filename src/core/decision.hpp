@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/valley.hpp"
@@ -24,6 +25,10 @@ struct DrongoParams {
   std::size_t window_size = 5;
   RatioConvention convention = RatioConvention::deployment();
 };
+
+/// Throws net::InvalidArgument unless vt is in (0, 1] and vf in [0, 1],
+/// the ranges the §5.1 sweep covers.
+void validate_thresholds(double valley_threshold, double min_valley_frequency);
 
 /// Decides, per domain, whether — and with which hop subnet — to perform
 /// subnet assimilation.
@@ -47,8 +52,39 @@ class DecisionEngine {
   void observe(const measure::TrialRecord& trial);
 
   /// The assimilation choice for `domain` right now, or nullopt for "use
-  /// the client's own subnet".
+  /// the client's own subnet". Uses the engine's parameters and tie-break
+  /// stream and tallies the verdict.
   std::optional<net::Prefix> choose(const std::string& domain);
+
+  /// The same rule at any (vt, vf) over the current windows, ties broken
+  /// with `rng` (one draw when some subnet qualifies, none otherwise):
+  /// pick(shortlist(domain, vt, vf), rng). It neither allocates (for a
+  /// lowercase domain) nor changes the engine, so one trained engine can
+  /// score a whole parameter sweep, from several threads at once, each with
+  /// its own `rng`. Thresholds are not checked here; see
+  /// validate_thresholds.
+  [[nodiscard]] std::optional<net::Prefix> choose(std::string_view domain, double vt,
+                                                  double vf, net::Rng& rng) const;
+
+  /// The subnets tied to win `domain` at (vt, vf): those qualified at the
+  /// highest valley frequency. It points into the engine, so it is valid
+  /// until the next observe() or load(). Deciding several queries for one
+  /// domain at one (vt, vf) takes one shortlist and a pick() per query.
+  struct Shortlist {
+    const std::map<net::Prefix, TrainingWindow>* windows = nullptr;
+    double vt = 0.0;
+    double vf = 0.0;
+    double best = -1.0;                  ///< the tied subnets' valley frequency
+    std::size_t ties = 0;                ///< how many there are; 0 = none qualifies
+    const net::Prefix* first = nullptr;  ///< the first of them in subnet order
+  };
+  [[nodiscard]] Shortlist shortlist(std::string_view domain, double vt, double vf) const;
+
+  /// The tie-break (§4.3: uniformly at random): one of the shortlist's
+  /// subnets, drawn with one `rng` draw, or nullopt, without a draw, when
+  /// the shortlist is empty.
+  [[nodiscard]] static std::optional<net::Prefix> pick(const Shortlist& shortlist,
+                                                       net::Rng& rng);
 
   /// A qualified or candidate subnet's state, for introspection.
   struct Candidate {

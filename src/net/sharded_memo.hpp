@@ -1,8 +1,9 @@
 // ShardedMemo: a concurrent memo for deterministic pure functions.
 //
-// The pattern behind World's one-way delay, traceroute-skeleton and name
-// memos and CdnProvider's mapping table: a fixed array of shards, each an
-// unordered_map behind a shared_mutex, selected by a mixed hash of the key.
+// The pattern behind World's one-way delay, anycast-instance,
+// traceroute-skeleton and name memos and CdnProvider's mapping table: a
+// fixed array of shards, each an unordered_map behind a shared_mutex,
+// selected by a mixed hash of the key.
 // Lookups take a shared lock on one shard, so parallel campaign workers
 // only contend when they insert into the same shard. The memoized function
 // must be pure: a racing miss recomputes the same value and the first

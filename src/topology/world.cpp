@@ -216,6 +216,8 @@ std::uint64_t stateless_mix(std::uint64_t x) {
 net::Ipv4Addr World::resolve_anycast(net::Ipv4Addr src, net::Ipv4Addr dst) {
   auto it = anycast_.find(dst);
   if (it == anycast_.end()) return dst;
+  const std::uint64_t key = (std::uint64_t{src.to_uint()} << 32) | dst.to_uint();
+  if (const net::Ipv4Addr* cached = anycast_cache_.lookup(key)) return *cached;
   // Rank instances by base latency from the source.
   std::vector<std::pair<double, net::Ipv4Addr>> ranked;
   ranked.reserve(it->second.size());
@@ -240,7 +242,8 @@ net::Ipv4Addr World::resolve_anycast(net::Ipv4Addr src, net::Ipv4Addr dst) {
       g = stateless_mix(g);
     }
   }
-  return ranked[pick].second;
+  // Deterministic, so concurrent misses on the same pair agree on it.
+  return anycast_cache_.insert(key, ranked[pick].second);
 }
 
 std::vector<World::PathPoint> World::pop_path(const Host& src, const Host& dst) {

@@ -239,7 +239,8 @@ class World {
   [[nodiscard]] net::Ipv4Addr router_address(std::size_t as_index, int pop_index,
                                              int slot = 1, bool edge = false) const;
 
-  /// Resolves anycast to the nearest instance for `src`; identity otherwise.
+  /// Resolves anycast to the instance `src` reaches (memoized per (src,
+  /// VIP)); identity otherwise.
   net::Ipv4Addr resolve_anycast(net::Ipv4Addr src, net::Ipv4Addr dst);
 
   /// Resolves an address to a measurable endpoint: a registered host, or a
@@ -261,6 +262,9 @@ class World {
   /// The one-way delay memo, keyed by (src, resolved dst), sharded to keep
   /// parallel campaign workers from serializing on one lock.
   net::ShardedMemo<std::uint64_t, double> one_way_cache_;
+  /// The instance each (src, anycast VIP) pair reaches, so a VIP ping does
+  /// not re-rank the instances. Same validity rule as the one-way memo.
+  net::ShardedMemo<std::uint64_t, net::Ipv4Addr> anycast_cache_;
   /// Traceroute skeletons keyed by (src, dst as asked, anycast unresolved).
   /// Valid under the one-way memo's rule: add_host/add_anycast finish
   /// before the first query.

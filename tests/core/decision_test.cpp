@@ -1,6 +1,8 @@
 // DecisionEngine: the §4.3 rules.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/decision.hpp"
 #include "net/error.hpp"
 
@@ -116,6 +118,41 @@ TEST(DecisionEngineTest, TiesBrokenAcrossBothCandidates) {
   EXPECT_EQ(chosen.size(), 2u);  // random tie-break hits both eventually
 }
 
+TEST(DecisionEngineTest, ConstChooseRescoresWithoutRetraining) {
+  // Three ties at (vf 1.0, vt 0.95); only A is a valley at vt 0.75.
+  DecisionEngine engine(params(1.0, 0.95), /*seed=*/77);
+  const net::Prefix subnet_c = net::Prefix::must_parse("20.3.0.0/24");
+  for (int i = 0; i < 5; ++i) {
+    engine.observe(trial_multi("d.sim", {{kSubnetA, 0.7}, {kSubnetB, 0.8}, {subnet_c, 0.8}}));
+  }
+  // At the engine's own parameters, with a stream seeded like the engine's,
+  // the const overload draws exactly what the mutable one does.
+  net::Rng rng(77);
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_EQ(std::as_const(engine).choose("d.sim", 0.95, 1.0, rng), engine.choose("d.sim"));
+  }
+  EXPECT_EQ(std::as_const(engine).choose("D.Sim", 0.75, 1.0, rng), kSubnetA);
+  EXPECT_FALSE(std::as_const(engine).choose("d.sim", 0.5, 0.2, rng).has_value());
+  EXPECT_FALSE(std::as_const(engine).choose("other.sim", 1.0, 0.0, rng).has_value());
+  // One shortlist serves repeated picks with the same draws as choose().
+  const auto shortlist = engine.shortlist("d.sim", 0.95, 1.0);
+  EXPECT_EQ(shortlist.ties, 3u);
+  EXPECT_DOUBLE_EQ(shortlist.best, 1.0);
+  net::Rng picks(9);
+  net::Rng chooses(9);
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_EQ(DecisionEngine::pick(shortlist, picks),
+              std::as_const(engine).choose("d.sim", 0.95, 1.0, chooses));
+  }
+  EXPECT_EQ(engine.shortlist("d.sim", 0.75, 1.0).ties, 1u);
+  EXPECT_EQ(engine.shortlist("other.sim", 0.95, 1.0).ties, 0u);
+  // A draw is taken only when some subnet qualifies.
+  net::Rng untouched(5);
+  net::Rng reference(5);
+  (void)std::as_const(engine).choose("d.sim", 0.5, 0.2, untouched);
+  EXPECT_EQ(untouched.next_u64(), reference.next_u64());
+}
+
 TEST(DecisionEngineTest, DomainsAreIsolated) {
   DecisionEngine engine(params(1.0, 0.95));
   for (int i = 0; i < 5; ++i) {
@@ -178,6 +215,9 @@ TEST(DecisionEngineTest, ParameterValidation) {
   EXPECT_THROW(DecisionEngine(params(-0.1, 0.95)), net::InvalidArgument);
   EXPECT_THROW(DecisionEngine(params(1.1, 0.95)), net::InvalidArgument);
   EXPECT_NO_THROW(DecisionEngine(params(0.0, 1.0)));
+  EXPECT_THROW(validate_thresholds(0.0, 1.0), net::InvalidArgument);
+  EXPECT_THROW(validate_thresholds(0.95, -0.1), net::InvalidArgument);
+  EXPECT_NO_THROW(validate_thresholds(1.0, 0.0));
 }
 
 }  // namespace

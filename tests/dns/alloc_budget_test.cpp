@@ -3,8 +3,9 @@
 // assert how many heap allocations one operation makes on this thread:
 // names within DnsName's inline capacity never allocate, an encode
 // allocates exactly its wire, a resolution through a Testbed stays within
-// a pinned budget, a warm traceroute allocates only its hop vector, and a
-// training window's add() never allocates.
+// a pinned budget, a warm traceroute allocates only its hop vector, a warm
+// RTT toward an anycast VIP allocates nothing, a training window's add()
+// never allocates, and neither does a decision among tied subnets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +14,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/decision.hpp"
 #include "core/window.hpp"
 #include "dns/message.hpp"
 #include "measure/testbed.hpp"
@@ -218,6 +222,55 @@ TEST(AllocBudgetTest, WarmTracerouteAllocatesOnlyItsHops) {
         << "toward " << target.to_string();
     EXPECT_GE(hops.size(), 3u);
   }
+}
+
+TEST(AllocBudgetTest, WarmAnycastRttAllocatesNothing) {
+  measure::Testbed testbed(small_testbed());
+  topology::World& world = testbed.world();
+  const net::Ipv4Addr client = testbed.clients()[0];
+  std::size_t vips = 0;
+  for (std::size_t p = 0; p < testbed.provider_count(); ++p) {
+    for (const net::Ipv4Addr vip : testbed.provider(p).vips()) {
+      ASSERT_TRUE(world.is_anycast(vip));
+      const double cold = world.rtt_base_ms(client, vip);  // fills the memos
+      double warm = 0.0;
+      EXPECT_EQ(allocations_in([&] { warm = world.rtt_base_ms(client, vip); }), 0u)
+          << "toward " << vip.to_string();
+      EXPECT_EQ(warm, cold);
+      ++vips;
+    }
+  }
+  ASSERT_GT(vips, 0u) << "no anycast VIP to ping";
+}
+
+TEST(AllocBudgetTest, ChoosingAmongTiedSubnetsDoesNotAllocate) {
+  core::DrongoParams params;
+  params.min_valley_frequency = 1.0;
+  params.valley_threshold = 0.95;
+  core::DecisionEngine engine(params, 5);
+  measure::TrialRecord trial;
+  trial.domain = "img.googlecdn.sim";
+  trial.cr.push_back({net::Ipv4Addr(21, 0, 0, 1), 100.0});
+  for (const char* subnet : {"20.1.0.0/24", "20.2.0.0/24", "20.3.0.0/24"}) {
+    measure::HopRecord hop;
+    hop.subnet = net::Prefix::must_parse(subnet);
+    hop.usable = true;
+    hop.hr.push_back({net::Ipv4Addr(22, 0, 0, 1), 50.0});  // ratio 0.5 on every trial
+    trial.hops.push_back(std::move(hop));
+  }
+  for (std::size_t i = 0; i < params.window_size; ++i) engine.observe(trial);
+  ASSERT_EQ(engine.candidates(trial.domain).size(), 3u);
+
+  net::Rng rng(7);
+  std::optional<net::Prefix> chosen;
+  std::optional<net::Prefix> rescored;
+  const std::uint64_t n = allocations_in([&] {
+    chosen = engine.choose(trial.domain);
+    rescored = std::as_const(engine).choose(trial.domain, 0.6, 0.8, rng);
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(chosen.has_value());
+  EXPECT_TRUE(rescored.has_value());
 }
 
 TEST(AllocBudgetTest, TrainingWindowAddDoesNotAllocate) {

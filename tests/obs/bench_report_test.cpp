@@ -4,6 +4,7 @@
 #include "obs/bench_report.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -18,12 +19,14 @@ namespace obs = drongo::obs;
 
 namespace {
 
-/// Writes `content` to a unique temp file; removed in the destructor.
+/// Writes `content` to a unique temp file; removed in the destructor. The
+/// name carries the process id: ctest -j runs each case in its own
+/// process, all sharing one temp dir.
 class TempFile {
  public:
   explicit TempFile(const std::string& content) {
     path_ = std::string(::testing::TempDir()) + "bench_report_test_" +
-            std::to_string(counter()++) + ".json";
+            std::to_string(::getpid()) + "_" + std::to_string(counter()++) + ".json";
     std::ofstream out(path_, std::ios::trunc);
     out << content;
   }

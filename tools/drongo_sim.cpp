@@ -220,6 +220,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
   options.add_option("metrics-out", "", "write obs telemetry as JSON-lines to this file");
   options.add_option("metrics-prom", "",
                      "write obs telemetry in Prometheus text format to this file");
+  options.add_flag("profile",
+                   "add span wall times (total_ms) to --metrics-out/--metrics-prom; "
+                   "they vary run to run");
   options.add_flag("downloads", "also measure download times (Fig. 4b/4c)");
   options.add_option("gwtw-k", "0",
                      "Go-With-The-Winner: race the first k replicas per trial "
@@ -306,11 +309,14 @@ int cmd_campaign(const std::vector<std::string>& args) {
     writer(file, registry.snapshot());
     std::cout << "metrics written to " << path << "\n";
   };
-  write_metrics("metrics-out", [](std::ostream& out, const obs::Snapshot& snapshot) {
-    obs::write_jsonl(out, snapshot);
+  // Span wall times are the one nondeterministic figure, so they appear
+  // only when asked for; without --profile the exports stay reproducible.
+  const obs::ExportOptions export_options{.include_span_timings = options.get_flag("profile")};
+  write_metrics("metrics-out", [&](std::ostream& out, const obs::Snapshot& snapshot) {
+    obs::write_jsonl(out, snapshot, export_options);
   });
-  write_metrics("metrics-prom", [](std::ostream& out, const obs::Snapshot& snapshot) {
-    obs::write_prometheus(out, snapshot);
+  write_metrics("metrics-prom", [&](std::ostream& out, const obs::Snapshot& snapshot) {
+    obs::write_prometheus(out, snapshot, export_options);
   });
 
   const auto health = measure::aggregate_health(records);
@@ -536,7 +542,8 @@ int cmd_help() {
                "campaign racing: --gwtw-k K races the first K replicas per trial\n"
                "  (Go-With-The-Winner; race standings land in the dataset)\n"
                "campaign telemetry: --metrics-out FILE (JSON-lines) and\n"
-               "  --metrics-prom FILE (Prometheus text); see docs/OBSERVABILITY.md\n"
+               "  --metrics-prom FILE (Prometheus text); --profile adds span wall\n"
+               "  times (total_ms); see docs/OBSERVABILITY.md\n"
                "campaign sharing: --valley-share (or DRONGO_VALLEY_SHARE=1) folds\n"
                "  the campaign into a crowd-shared valley store clustered by\n"
                "  routing similarity (core.valley_store.* telemetry)\n";
