@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "dns/faults.hpp"
 #include "net/error.hpp"
@@ -14,6 +15,25 @@ ServingConfig legacy_config(bool enable_cache) {
   ServingConfig serving;
   serving.enable_cache = enable_cache;
   return serving;
+}
+
+/// Writes `name`'s wire form with ASCII letters lowercased (RFC 1035
+/// §2.3.3 folding; length bytes are never letters) to `out`, which holds
+/// DnsName::kMaxWireLength bytes; returns the bytes written.
+std::size_t fold_wire(const dns::DnsName& name, char* out) {
+  const auto wire = name.wire();
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    const std::uint8_t c = wire[i];
+    out[i] = static_cast<char>(c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c);
+  }
+  return wire.size();
+}
+
+/// Whether the message answers with at least one address (A record).
+bool has_address(const dns::Message& message) {
+  return std::ranges::any_of(message.answers, [](const dns::ResourceRecord& rr) {
+    return std::holds_alternative<dns::ARdata>(rr.rdata);
+  });
 }
 
 }  // namespace
@@ -33,21 +53,26 @@ PublicResolver::PublicResolver(dns::DnsTransport* transport, net::Ipv4Addr own_a
 }
 
 void PublicResolver::register_zone(const dns::DnsName& zone, net::Ipv4Addr authoritative) {
-  zones_[zone] = authoritative;
+  char folded[dns::DnsName::kMaxWireLength];
+  zones_.insert_or_assign(std::string(folded, fold_wire(zone, folded)), authoritative);
+  zone_label_counts_.set(zone.label_count());
 }
 
 std::optional<net::Ipv4Addr> PublicResolver::authoritative_for(
     const dns::DnsName& name) const {
-  // Longest-suffix match across registered zones.
-  std::optional<net::Ipv4Addr> best;
-  std::size_t best_labels = 0;
-  for (const auto& [zone, server] : zones_) {
-    if (name.is_subdomain_of(zone) && zone.label_count() >= best_labels) {
-      best = server;
-      best_labels = zone.label_count();
+  // Longest-suffix match: probe the name itself, then each parent down to
+  // the root, in the folded wire form the zones are keyed by, skipping
+  // suffixes no zone is as long as.
+  char folded[dns::DnsName::kMaxWireLength];
+  const std::size_t size = fold_wire(name, folded);
+  std::size_t labels = name.label_count();
+  for (std::size_t at = 0;; at += 1 + static_cast<std::uint8_t>(folded[at]), --labels) {
+    if (zone_label_counts_.test(labels)) {
+      const auto it = zones_.find(std::string_view(folded + at, size - at));
+      if (it != zones_.end()) return it->second;
     }
+    if (labels == 0) return std::nullopt;
   }
-  return best;
 }
 
 dns::Message PublicResolver::answer_from(const dns::Message& query,
@@ -174,7 +199,7 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
       return dns::Message::make_response(query, rcode);
     }
     dns::Message upstream = dns::Message::make_query(query.header.id, current, ecs, q.type);
-    ++upstream_queries_;
+    upstream_.add(kUpstreamQueries);
     if (registry_ != nullptr) registry_->add("cdn.resolver.upstream_queries");
     try {
       upstream_reply = dns::Message::decode(
@@ -184,7 +209,7 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
       // SERVFAIL rather than leaving the client hanging, and the client's
       // retry policy takes it from there. Followers share the SERVFAIL
       // (classic singleflight) instead of stampeding a failing server.
-      upstream_failures_.fetch_add(1, std::memory_order_relaxed);
+      upstream_.add(kUpstreamFailures);
       if (registry_ != nullptr) registry_->add("cdn.resolver.upstream_failures");
       publish(dns::Rcode::kServFail, {}, 0);
       return dns::Message::make_response(query, dns::Rcode::kServFail);
@@ -199,16 +224,18 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
         }
       }
     }
-    if (!upstream_reply.answer_addresses().empty() || !target) {
+    if (!target || has_address(upstream_reply)) {
       resolved = true;
       break;
     }
     // Chase: keep the chain for the client, restart at the target.
-    for (const auto& rr : upstream_reply.answers) chain.push_back(rr);
-    current = *target;
+    chain.insert(chain.end(), std::make_move_iterator(upstream_reply.answers.begin()),
+                 std::make_move_iterator(upstream_reply.answers.end()));
+    upstream_reply.answers.clear();  // the checks below must not see moved-from records
+    current = *std::move(target);
   }
   if (!resolved && upstream_reply.header.rcode == dns::Rcode::kNoError &&
-      upstream_reply.answer_addresses().empty() && !chain.empty()) {
+      !has_address(upstream_reply) && !chain.empty()) {
     // Chase depth exhausted: a CNAME loop.
     publish(dns::Rcode::kServFail, {}, 0);
     return dns::Message::make_response(query, dns::Rcode::kServFail);
@@ -233,12 +260,21 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
       query, upstream_reply.header.rcode,
       foreign_family ? std::optional<int>(0) : scope);
   response.header.ra = true;
-  response.answers = std::move(chain);
-  response.answers.insert(response.answers.end(), upstream_reply.answers.begin(),
-                          upstream_reply.answers.end());
+  if (chain.empty()) {
+    response.answers = std::move(upstream_reply.answers);
+  } else {
+    response.answers = std::move(chain);
+    response.answers.insert(response.answers.end(),
+                            std::make_move_iterator(upstream_reply.answers.begin()),
+                            std::make_move_iterator(upstream_reply.answers.end()));
+  }
 
-  const auto addresses = response.answer_addresses();
-  if (serving_.enable_cache && q.type == dns::RrType::kA && !foreign_family) {
+  // The address list is only kept by the cache and coalesced followers.
+  const bool caching = serving_.enable_cache && q.type == dns::RrType::kA && !foreign_family;
+  const std::vector<net::Ipv4Addr> addresses =
+      caching || flight != nullptr ? response.answer_addresses()
+                                   : std::vector<net::Ipv4Addr>();
+  if (caching) {
     const net::IpPrefix cache_scope =
         scope ? net::IpPrefix(ecs.network(), *scope) : ecs;
     if (response.header.rcode == dns::Rcode::kNoError && !addresses.empty()) {

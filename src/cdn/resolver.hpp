@@ -1,15 +1,18 @@
 // Public recursive resolver (the simulated 8.8.8.8).
 #pragma once
 
-#include <atomic>
+#include <bitset>
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <functional>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "cdn/codel.hpp"
 #include "dns/serving_cache.hpp"
 #include "dns/server.hpp"
+#include "net/thread_counters.hpp"
 #include "obs/metrics.hpp"
 
 namespace drongo::cdn {
@@ -51,7 +54,7 @@ struct ServingConfig {
 /// Thread-safety: zone registration, `set_time_ms`, and `set_registry` are
 /// setup-phase and single-threaded. `handle` may then be called
 /// concurrently — the answer cache is shard-locked internally and the
-/// upstream counters are atomic.
+/// upstream counters are per-thread slots (net::ThreadCounters).
 class PublicResolver : public dns::DnsServer {
  public:
   /// `transport` carries queries to authoritatives; borrowed.
@@ -60,7 +63,9 @@ class PublicResolver : public dns::DnsServer {
   PublicResolver(dns::DnsTransport* transport, net::Ipv4Addr own_address,
                  const ServingConfig& serving);
 
-  /// Registers the authoritative server address for a zone.
+  /// Registers the authoritative server address for a zone. Zone names
+  /// compare case-insensitively: registering one again in other case
+  /// replaces its server.
   void register_zone(const dns::DnsName& zone, net::Ipv4Addr authoritative);
 
   dns::Message handle(const dns::Message& query, net::Ipv4Addr source) override;
@@ -82,15 +87,31 @@ class PublicResolver : public dns::DnsServer {
   /// The CoDel admission controller (inert unless serving().overload.enabled).
   [[nodiscard]] const CodelQueue& admission() const { return admission_; }
   [[nodiscard]] std::uint64_t upstream_queries() const {
-    return upstream_queries_.load(std::memory_order_relaxed);
+    return upstream_.sum(kUpstreamQueries);
   }
   /// Upstream exchanges that failed transiently and became SERVFAIL answers.
   [[nodiscard]] std::uint64_t upstream_failures() const {
-    return upstream_failures_.load(std::memory_order_relaxed);
+    return upstream_.sum(kUpstreamFailures);
   }
 
+  /// The authoritative for the longest registered zone that `name` is in
+  /// (the root zone, if registered, covers every name); nullopt when no
+  /// registered zone covers it.
+  [[nodiscard]] std::optional<net::Ipv4Addr> authoritative_for(
+      const dns::DnsName& name) const;
+
  private:
-  std::optional<net::Ipv4Addr> authoritative_for(const dns::DnsName& name) const;
+  /// Indexes of upstream_.
+  static constexpr std::size_t kUpstreamQueries = 0;
+  static constexpr std::size_t kUpstreamFailures = 1;
+
+  /// Hashes zone keys and looks them up by string_view without a copy.
+  struct ZoneKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
 
   /// Full recursive resolution (zone routing, CNAME chase, caching). When
   /// `flight` is non-null this caller is the singleflight leader and the
@@ -114,12 +135,17 @@ class PublicResolver : public dns::DnsServer {
   net::Ipv4Addr address_;
   ServingConfig serving_;
   std::uint64_t now_ms_ = 0;
-  std::map<dns::DnsName, net::Ipv4Addr> zones_;
+  /// Registered zones keyed by their case-folded wire form (length-prefixed
+  /// labels and the root byte), so a query name's suffixes are probed as
+  /// views into one folded copy of it.
+  std::unordered_map<std::string, net::Ipv4Addr, ZoneKeyHash, std::equal_to<>> zones_;
+  /// Bit n is set when some registered zone has n labels: only suffixes of
+  /// those lengths are probed.
+  std::bitset<dns::DnsName::kMaxWireLength / 2 + 1> zone_label_counts_;
   dns::ShardedDnsCache cache_;
   CodelQueue admission_;
   obs::Registry* registry_ = nullptr;  // borrowed; optional telemetry mirror
-  std::atomic<std::uint64_t> upstream_queries_{0};
-  std::atomic<std::uint64_t> upstream_failures_{0};
+  net::ThreadCounters<2> upstream_;  // queries, failures
 };
 
 }  // namespace drongo::cdn

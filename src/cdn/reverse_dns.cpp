@@ -23,7 +23,12 @@ dns::Message ReverseDnsAuthoritative::handle(const dns::Message& query,
   if (!address) {
     return dns::Message::make_response(query, dns::Rcode::kNxDomain);
   }
-  const std::string rdns = world_->rdns_of(*address);
+  // Traceroute hops already have their names interned in the world; any
+  // other address is named on the spot and left out of the table.
+  std::string built;
+  const std::string* interned = world_->interned_rdns(*address);
+  if (interned == nullptr) built = world_->rdns_of(*address);
+  const std::string_view rdns = interned != nullptr ? *interned : built;
   if (rdns.empty()) {
     // Unknown or private space: no PTR record exists.
     return dns::Message::make_response(query, dns::Rcode::kNxDomain);

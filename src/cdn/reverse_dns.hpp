@@ -9,7 +9,8 @@ namespace drongo::cdn {
 /// Authoritative for in-addr.arpa, answering PTR queries from the world's
 /// address registry (router and host names). Traceroute-style tooling looks
 /// hop names up here — through the real DNS path — instead of peeking at
-/// the simulator.
+/// the simulator. Names the world has interned for its traceroutes are read
+/// from its table; others are built per query and never added to it.
 class ReverseDnsAuthoritative : public dns::DnsServer {
  public:
   /// `world` is borrowed and must outlive the server.

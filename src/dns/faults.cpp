@@ -153,7 +153,7 @@ void FaultyTransport::set_registry(obs::Registry* registry, std::string_view sco
 
 void FaultyTransport::tally(Kind kind) {
   const auto k = static_cast<std::size_t>(kind);
-  counts_[k].fetch_add(1, std::memory_order_relaxed);
+  counts_.add(k);
   if (registry_ != nullptr) registry_->add(metric_names_[k]);
 }
 

@@ -11,13 +11,13 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "dns/server.hpp"
 #include "net/rng.hpp"
+#include "net/thread_counters.hpp"
 #include "obs/metrics.hpp"
 
 namespace drongo::dns {
@@ -113,8 +113,8 @@ class ScopedFaultTime {
 /// (and 0x20 casing), so their bytes differ and they get independent fault
 /// draws, exactly like real retransmissions taking fresh network chances.
 /// The decorator keeps no per-exchange mutable state; observability
-/// counters are relaxed atomics whose totals are order-independent sums of
-/// per-exchange deterministic outcomes.
+/// counters are per-thread slots (net::ThreadCounters) whose totals are
+/// order-independent sums of per-exchange deterministic outcomes.
 class FaultyTransport : public DnsTransport {
  public:
   /// Which personality this channel models: truncation only fires on kUdp.
@@ -145,7 +145,7 @@ class FaultyTransport : public DnsTransport {
   /// Attaches an obs registry (borrowed; nullptr detaches). Every injected
   /// fault is mirrored as `dns.fault.<scope>.<kind>` — `scope` names the
   /// channel this decorator sits on (e.g. "client_udp", "resolver") so one
-  /// registry can tell several fault fabrics apart. The per-instance atomic
+  /// registry can tell several fault fabrics apart. The per-instance
   /// accessors above keep working either way.
   void set_registry(obs::Registry* registry, std::string_view scope);
 
@@ -161,7 +161,7 @@ class FaultyTransport : public DnsTransport {
       "truncate", "ecs_strip", "scope_zero", "clean"};
 
   [[nodiscard]] std::uint64_t count(Kind kind) const {
-    return counts_[static_cast<std::size_t>(kind)].load();
+    return counts_.sum(static_cast<std::size_t>(kind));
   }
   /// Bumps a per-instance counter and mirrors it into the registry.
   void tally(Kind kind);
@@ -171,7 +171,9 @@ class FaultyTransport : public DnsTransport {
   FaultProfile profile_;
   Channel channel_;
 
-  std::array<std::atomic<std::uint64_t>, kKinds> counts_{};
+  // One tally per Kind; kClean fires on every clean exchange, so every
+  // worker bumps these and each gets its own slot.
+  net::ThreadCounters<kKinds> counts_;
 
   obs::Registry* registry_ = nullptr;  // borrowed; optional telemetry mirror
   // "dns.fault.<scope>.<kind>" per kind, built once by set_registry.

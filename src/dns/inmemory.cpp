@@ -25,7 +25,7 @@ std::vector<std::uint8_t> InMemoryDnsNetwork::exchange(
     // outages, and an outage may end — retrying is the right response.
     throw net::UnreachableError("no DNS server at " + destination.to_string());
   }
-  ++exchanges_;
+  exchanges_.add();
   // Full round-trip through the codec, as over a real socket.
   const Message decoded = Message::decode(query);
   const Message response = it->second->handle(decoded, source);

@@ -1,12 +1,12 @@
 // In-memory DNS "network": routes encoded queries to registered servers.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 
 #include "dns/server.hpp"
+#include "net/thread_counters.hpp"
 
 namespace drongo::dns {
 
@@ -31,16 +31,14 @@ class InMemoryDnsNetwork : public DnsTransport {
   [[nodiscard]] bool has_server(net::Ipv4Addr address) const;
 
   /// Number of exchanges performed (for measurement-overhead accounting).
-  [[nodiscard]] std::uint64_t exchange_count() const {
-    return exchanges_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t exchange_count() const { return exchanges_.sum(); }
 
   std::vector<std::uint8_t> exchange(net::Ipv4Addr source, net::Ipv4Addr destination,
                                      std::span<const std::uint8_t> query) override;
 
  private:
   std::unordered_map<net::Ipv4Addr, DnsServer*> servers_;
-  std::atomic<std::uint64_t> exchanges_{0};
+  net::ThreadCounter exchanges_;  // bumped per exchange by every worker
 };
 
 }  // namespace drongo::dns

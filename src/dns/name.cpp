@@ -151,7 +151,9 @@ std::optional<DnsName> DnsName::parse(std::string_view text) {
   if (text.empty()) return std::nullopt;
   if (text == ".") return DnsName();
   if (text.back() == '.') text.remove_suffix(1);
-  std::uint8_t wire[kMaxWireLength] = {};
+  // Scratch is written front to back and read only up to `total`, so it is
+  // left uninitialized (as in decode).
+  std::uint8_t wire[kMaxWireLength];
   std::size_t total = 1;
   std::size_t count = 0;
   for (;;) {
@@ -172,7 +174,9 @@ DnsName DnsName::must_parse(std::string_view text) {
 }
 
 DnsName DnsName::decode(net::ByteReader& reader) {
-  std::uint8_t wire[kMaxWireLength] = {};
+  // Scratch is written front to back and read only up to `total`: zeroing
+  // all 255 bytes would cost more than decoding a typical name.
+  std::uint8_t wire[kMaxWireLength];
   std::size_t total = 1;
   std::size_t count = 0;
   // After the first pointer the cursor must not move; we continue decoding at

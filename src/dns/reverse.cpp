@@ -1,22 +1,31 @@
 #include "dns/reverse.hpp"
 
-#include <algorithm>
 #include <charconv>
+#include <cstring>
+#include <span>
 #include <string_view>
+
+#include "net/bytes.hpp"
 
 namespace drongo::dns {
 
 DnsName reverse_pointer_name(net::Ipv4Addr address) {
-  // "d.c.b.a.in-addr.arpa": at most 4 * 4 + 12 characters.
-  char text[32];
-  char* end = text;
+  // The wire form of "d.c.b.a.in-addr.arpa": four decimal labels of at
+  // most 3 digits, then the zone's labels and the root byte.
+  constexpr std::string_view kZoneWire("\7in-addr\4arpa", 13);
+  std::uint8_t wire[4 * 4 + kZoneWire.size() + 1];
+  std::size_t size = 0;
   for (int i = 3; i >= 0; --i) {
-    end = std::to_chars(end, text + sizeof text, unsigned{address.octet(i)}).ptr;
-    *end++ = '.';
+    char* digits = reinterpret_cast<char*>(wire + size + 1);
+    const char* end = std::to_chars(digits, digits + 3, unsigned{address.octet(i)}).ptr;
+    wire[size] = static_cast<std::uint8_t>(end - digits);
+    size += 1 + wire[size];
   }
-  constexpr std::string_view kZone = "in-addr.arpa";
-  end = std::copy(kZone.begin(), kZone.end(), end);
-  return DnsName::must_parse(std::string_view(text, static_cast<std::size_t>(end - text)));
+  std::memcpy(wire + size, kZoneWire.data(), kZoneWire.size());
+  size += kZoneWire.size();
+  wire[size++] = 0;  // the root
+  net::ByteReader reader(std::span<const std::uint8_t>(wire, size));
+  return DnsName::decode(reader);
 }
 
 std::optional<net::Ipv4Addr> parse_reverse_pointer(const DnsName& name) {

@@ -3,10 +3,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 
 #include "net/error.hpp"
 
@@ -62,34 +63,36 @@ std::vector<TrialRecord> ParallelCampaignRunner::run(
     return records;
   }
 
-  // Shard by client: shards[s] holds the task-list positions of one
-  // client's tasks, in list order. A worker owns a whole shard at a time,
-  // which keeps a client's working set (stub state, cache keys) on one
-  // core and bounds contention on the shared memo caches.
-  std::vector<std::vector<std::size_t>> shards;
+  // One unit of work per (client, provider) pair: units[u] holds the
+  // task-list positions of that pair's trials, in list order, and units are
+  // handed out in order of first appearance. Units this small keep every
+  // worker busy until the last one is claimed. Larger ones would buy no
+  // locality: what trials share (DNS counters, latency memos) is
+  // per-thread or sharded.
+  std::vector<std::vector<std::size_t>> units;
   {
-    std::unordered_map<std::size_t, std::size_t> shard_of_client;
+    std::map<std::pair<std::size_t, std::size_t>, std::size_t> unit_of_pair;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      auto [it, fresh] =
-          shard_of_client.try_emplace(tasks[i].client_index, shards.size());
-      if (fresh) shards.emplace_back();
-      shards[it->second].push_back(i);
+      auto [it, fresh] = unit_of_pair.try_emplace(
+          {tasks[i].client_index, tasks[i].provider_index}, units.size());
+      if (fresh) units.emplace_back();
+      units[it->second].push_back(i);
     }
   }
 
-  std::atomic<std::size_t> next_shard{0};
+  std::atomic<std::size_t> next_unit{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
   auto worker = [&]() {
     while (true) {
-      const std::size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards.size()) return;
+      const std::size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
+      if (u >= units.size()) return;
       {
         std::lock_guard lock(error_mutex);
         if (first_error) return;  // a sibling already failed; drain quickly
       }
       try {
-        for (std::size_t i : shards[s]) {
+        for (std::size_t i : units[u]) {
           records[i] = runner_->run_task(tasks[i]);
         }
       } catch (...) {
@@ -100,7 +103,7 @@ std::vector<TrialRecord> ParallelCampaignRunner::run(
     }
   };
 
-  const int n = std::min<int>(threads_, static_cast<int>(shards.size()));
+  const int n = std::min<int>(threads_, static_cast<int>(units.size()));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) pool.emplace_back(worker);

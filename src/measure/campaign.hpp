@@ -40,9 +40,9 @@ int thread_count_from_env();
 
 /// Executes campaign task lists across a thread pool.
 ///
-/// Work is sharded by client: a worker claims an entire client's tasks at
-/// once, so the per-trial state a client touches (its stub resolutions, its
-/// RTT cache keys) stays mostly core-local. Records land in the slot of
+/// A worker claims one (client, provider) pair's tasks at a time, so even a
+/// one-client campaign spreads over the pool and the last claims are small
+/// enough to keep every worker busy to the end. Records land in the slot of
 /// their task's position; the returned vector is therefore field-for-field
 /// identical for any thread count, including 1.
 class ParallelCampaignRunner {
@@ -52,8 +52,9 @@ class ParallelCampaignRunner {
   ParallelCampaignRunner(const TrialRunner* runner, CampaignOptions options = {});
 
   /// Runs every task, in `tasks` order in the output. Tasks are grouped by
-  /// client for sharding; the grouping does not affect results. Exceptions
-  /// thrown by any trial are rethrown in the calling thread.
+  /// (client, provider) pair into units of work; the grouping does not
+  /// affect results. Exceptions thrown by any trial are rethrown in the
+  /// calling thread.
   [[nodiscard]] std::vector<TrialRecord> run(const std::vector<CampaignTask>& tasks) const;
 
   /// Parallel equivalent of TrialRunner::run_campaign — same records, same

@@ -9,9 +9,11 @@ namespace drongo::measure {
 double ping_ms(topology::World& world, net::Ipv4Addr src, net::Ipv4Addr dst,
                net::Rng& rng, const PingConfig& config) {
   if (config.burst <= 0) throw net::InvalidArgument("ping burst must be positive");
+  // The base RTT is fixed per pair; only the noise is drawn per sample.
+  const double base_rtt_ms = world.rtt_base_ms(src, dst);
   double sum = 0.0;
   for (int i = 0; i < config.burst; ++i) {
-    sum += world.rtt_sample_ms(src, dst, rng);
+    sum += world.rtt_sample_from_base_ms(base_rtt_ms, rng);
   }
   return sum / config.burst;
 }

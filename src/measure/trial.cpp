@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
+#include <string_view>
 
 #include "dns/faults.hpp"
 #include "net/error.hpp"
@@ -161,8 +160,20 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
   // Step 3: traceroute toward each CR; collect hops (dedupe by /24). Hop
   // names come from PTR lookups over the DNS path when configured, exactly
   // as traceroute tooling obtains them.
-  std::set<net::Prefix> seen_subnets;
-  std::map<net::Ipv4Addr, std::string> ptr_cache;
+  //
+  // A trial sees a few traceroutes of ~10 hops, so the bookkeeping is flat
+  // vectors searched linearly. hop.rdns views point into ptr_cache's
+  // strings, which move when the vector grows (short names live inside the
+  // std::string), so a traceroute's views are taken only after its lookups
+  // are done and the cache stops growing until the next traceroute.
+  std::vector<net::Prefix> seen_subnets;
+  std::vector<std::pair<net::Ipv4Addr, std::string>> ptr_cache;
+  seen_subnets.reserve(16);
+  ptr_cache.reserve(16);
+  const auto cached_ptr = [&ptr_cache](net::Ipv4Addr ip) {
+    return std::find_if(ptr_cache.begin(), ptr_cache.end(),
+                        [ip](const auto& entry) { return entry.first == ip; });
+  };
   // One phase span at a time; emplace closes the previous phase before
   // opening the next, all nested inside the trial span.
   std::optional<obs::Span> phase;
@@ -170,16 +181,17 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
   for (net::Ipv4Addr cr_addr : cr_result.addresses) {
     auto hops = world.traceroute(client, cr_addr, rng);
     if (config_.resolve_hop_names_via_dns) {
+      const auto named = [](const topology::TracerouteHop& hop) {
+        return !hop.is_private && hop.responded;
+      };
+      for (const auto& hop : hops) {
+        if (named(hop) && cached_ptr(hop.ip) == ptr_cache.end()) {
+          ptr_cache.emplace_back(hop.ip, stub.resolve_ptr(hop.ip));
+        }
+      }
       for (auto& hop : hops) {
-        if (hop.is_private || !hop.responded) {
-          hop.rdns = {};
-          continue;
-        }
-        auto it = ptr_cache.find(hop.ip);
-        if (it == ptr_cache.end()) {
-          it = ptr_cache.emplace(hop.ip, stub.resolve_ptr(hop.ip)).first;
-        }
-        hop.rdns = it->second;
+        hop.rdns = named(hop) ? std::string_view(cached_ptr(hop.ip)->second)
+                              : std::string_view();
       }
     }
     const auto usable = usable_hops(world, client, hops, config_.filter);
@@ -188,7 +200,13 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
       // upstream router, so skip it as an assimilation candidate.
       if (hops[i].ip == cr_addr || world.is_host(hops[i].ip)) continue;
       const net::Prefix subnet(hops[i].ip, 24);
-      if (config_.dedupe_hop_subnets && !seen_subnets.insert(subnet).second) continue;
+      if (config_.dedupe_hop_subnets) {
+        if (std::find(seen_subnets.begin(), seen_subnets.end(), subnet) !=
+            seen_subnets.end()) {
+          continue;
+        }
+        seen_subnets.push_back(subnet);
+      }
       HopRecord hop;
       hop.ip = hops[i].ip;
       hop.subnet = subnet;
@@ -233,10 +251,13 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
   const std::uint64_t object_bytes =
       config_.object_bytes_min +
       rng.uniform(config_.object_bytes_max - config_.object_bytes_min + 1);
-  std::map<net::Ipv4Addr, ReplicaMeasurement> measured;
+  std::vector<ReplicaMeasurement> measured;
+  measured.reserve(16);
   auto measure = [&](net::Ipv4Addr replica) {
-    auto it = measured.find(replica);
-    if (it != measured.end()) return it->second;
+    const auto it =
+        std::find_if(measured.begin(), measured.end(),
+                     [replica](const ReplicaMeasurement& m) { return m.replica == replica; });
+    if (it != measured.end()) return *it;
     ReplicaMeasurement m;
     m.replica = replica;
     m.rtt_ms = ping_ms(world, client, replica, rng, config_.ping);
@@ -249,7 +270,7 @@ TrialRecord TrialRunner::run_with_rng(std::size_t client_index,
                                          /*repeat_request=*/true, rng,
                                          config_.download_model);
     }
-    measured[replica] = m;
+    measured.push_back(m);
     return m;
   };
   for (net::Ipv4Addr cr_addr : cr_result.addresses) {

@@ -347,7 +347,11 @@ double World::rtt_base_ms(net::Ipv4Addr src, net::Ipv4Addr dst) {
 }
 
 double World::rtt_sample_ms(net::Ipv4Addr src, net::Ipv4Addr dst, net::Rng& rng) {
-  double rtt = rtt_base_ms(src, dst) * rng.lognormal(0.0, config_.rtt_noise_sigma);
+  return rtt_sample_from_base_ms(rtt_base_ms(src, dst), rng);
+}
+
+double World::rtt_sample_from_base_ms(double base_rtt_ms, net::Rng& rng) const {
+  double rtt = base_rtt_ms * rng.lognormal(0.0, config_.rtt_noise_sigma);
   if (rng.chance(config_.spike_prob)) {
     rtt += rng.exponential(1.0 / config_.spike_mean_ms);
   }

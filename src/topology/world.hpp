@@ -143,6 +143,13 @@ class World {
   /// memos, it assumes setup (add_host) is over before the first query.
   [[nodiscard]] std::string_view rdns_view(net::Ipv4Addr ip);
 
+  /// The name rdns_view interned for `ip`, or nullptr when nothing has
+  /// interned it yet. Lookup only: the name table never grows here, so a
+  /// server answering arbitrary addresses cannot fill it.
+  [[nodiscard]] const std::string* interned_rdns(net::Ipv4Addr ip) const {
+    return names_.lookup(ip);
+  }
+
   // ---- Dual-stack identity ------------------------------------------------
   // The world's address plan is v4; its v6 face is the sim embedding
   // (2001:db8::/32 with the v4 identity at bits 32..63). These overloads
@@ -197,6 +204,11 @@ class World {
 
   /// One measured RTT sample: base with lognormal noise and rare spikes.
   double rtt_sample_ms(net::Ipv4Addr src, net::Ipv4Addr dst, net::Rng& rng);
+
+  /// The noise half of rtt_sample_ms on a base RTT the caller already
+  /// holds: rtt_sample_ms(src, dst, rng) equals
+  /// rtt_sample_from_base_ms(rtt_base_ms(src, dst), rng), draw for draw.
+  [[nodiscard]] double rtt_sample_from_base_ms(double base_rtt_ms, net::Rng& rng) const;
 
   /// Traceroute from a client host toward a destination host: the router
   /// hops along the valley-free path, with the private-gateway first hop

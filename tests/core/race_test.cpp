@@ -42,7 +42,7 @@ class RaceFixture : public ::testing::Test {
 };
 
 TEST_F(RaceFixture, SameRngSameRace) {
-  ReplicaRacer racer(RaceConfig{.k = 3});
+  ReplicaRacer racer(RaceConfig{.k = 3, .ping = {}});
   const auto field = replicas(4);
   const auto client = testbed_.clients()[0];
   net::Rng rng_a(5);
@@ -55,7 +55,7 @@ TEST_F(RaceFixture, SameRngSameRace) {
 }
 
 TEST_F(RaceFixture, WinnerHasTheMinimumRtt) {
-  ReplicaRacer racer(RaceConfig{.k = 4});
+  ReplicaRacer racer(RaceConfig{.k = 4, .ping = {}});
   const auto field = replicas(4);
   net::Rng rng(9);
   const RaceResult result = racer.race(testbed_.world(), testbed_.clients()[1], field, rng);
@@ -68,7 +68,7 @@ TEST_F(RaceFixture, WinnerHasTheMinimumRtt) {
 }
 
 TEST_F(RaceFixture, FieldIsClampedToTheAnswer) {
-  ReplicaRacer racer(RaceConfig{.k = 16});
+  ReplicaRacer racer(RaceConfig{.k = 16, .ping = {}});
   auto field = replicas(2);
   ASSERT_EQ(field.size(), 2u);
   net::Rng rng(9);
@@ -80,7 +80,7 @@ TEST_F(RaceFixture, SubTwoKDegeneratesToFirstReplica) {
   // k < 2 still probes one contestant (the CDN's choice) but can never
   // switch — the paper-faithful baseline.
   for (int k : {0, 1}) {
-    ReplicaRacer racer(RaceConfig{.k = k});
+    ReplicaRacer racer(RaceConfig{.k = k, .ping = {}});
     net::Rng rng(9);
     const RaceResult result =
         racer.race(testbed_.world(), testbed_.clients()[0], replicas(4), rng);
@@ -91,7 +91,7 @@ TEST_F(RaceFixture, SubTwoKDegeneratesToFirstReplica) {
 }
 
 TEST_F(RaceFixture, EmptyFieldAndNegativeKAreRejected) {
-  EXPECT_THROW(ReplicaRacer(RaceConfig{.k = -1}), net::InvalidArgument);
+  EXPECT_THROW(ReplicaRacer(RaceConfig{.k = -1, .ping = {}}), net::InvalidArgument);
   ReplicaRacer racer;
   net::Rng rng(9);
   const std::vector<net::Ipv4Addr> empty;
@@ -100,7 +100,7 @@ TEST_F(RaceFixture, EmptyFieldAndNegativeKAreRejected) {
 }
 
 TEST_F(RaceFixture, TalliesPartitionTheRaces) {
-  ReplicaRacer racer(RaceConfig{.k = 3});
+  ReplicaRacer racer(RaceConfig{.k = 3, .ping = {}});
   net::Rng rng(17);
   const auto field = replicas(3);
   for (int i = 0; i < 32; ++i) {
@@ -112,7 +112,7 @@ TEST_F(RaceFixture, TalliesPartitionTheRaces) {
 
 TEST_F(RaceFixture, RegistryMirrorsTheTallies) {
   obs::Registry registry;
-  ReplicaRacer racer(RaceConfig{.k = 2});
+  ReplicaRacer racer(RaceConfig{.k = 2, .ping = {}});
   racer.set_registry(&registry);
   net::Rng rng(23);
   for (int i = 0; i < 8; ++i) {

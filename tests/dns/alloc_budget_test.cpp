@@ -4,8 +4,9 @@
 // names within DnsName's inline capacity never allocate, an encode
 // allocates exactly its wire, a resolution through a Testbed stays within
 // a pinned budget, a warm traceroute allocates only its hop vector, a warm
-// RTT toward an anycast VIP allocates nothing, a training window's add()
-// never allocates, and neither does a decision among tied subnets.
+// trial stays within a pinned budget, a warm RTT toward an anycast VIP
+// allocates nothing, a training window's add() never allocates, and neither
+// does a decision among tied subnets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "core/window.hpp"
 #include "dns/message.hpp"
 #include "measure/testbed.hpp"
+#include "measure/trial.hpp"
 
 namespace {
 thread_local std::uint64_t t_allocations = 0;
@@ -181,26 +183,40 @@ TEST(AllocBudgetTest, ResolutionsThroughATestbedStayWithinBudget) {
   const dns::DnsName& name = testbed.content_names(0).front();
   const net::Ipv4Addr router(testbed.world().block_of(0).network().to_uint() | 1u);
   auto stub = testbed.make_stub(client, 1);
-  // Warm the per-key memos (mapping table, RTTs) and the encode scratch.
+  // Warm the per-key memos (mapping table, RTTs) and the encode scratch,
+  // and intern the router's name as a traceroute through it does.
   ASSERT_TRUE(stub.resolve_with_own_subnet(name).ok());
+  (void)testbed.world().rdns_view(router);
   ASSERT_FALSE(stub.resolve_ptr(router).empty());
 
   // Pinned from the measured counts. Both hops (stub -> resolver ->
   // authoritative) build, encode and decode a message each way: four
   // encodes (one exact-size wire each), the answer sections that hold
-  // records, and the result (A: the replica list and the address vectors;
+  // records (the resolver relays the authoritative's section by moving
+  // it), and the result (A: the replica list and the address vectors;
   // PTR: the name strings). The eight messages' single questions live
-  // inline and cost nothing. A regression in any layer's heap traffic
-  // trips this.
-  constexpr std::uint64_t kResolveBudget = 13;
-  constexpr std::uint64_t kPtrBudget = 10;
+  // inline and cost nothing. The PTR answer reads the interned name; an
+  // address nobody interned is named on the spot, which costs the string
+  // building, and stays out of the name table. A regression in any
+  // layer's heap traffic trips this.
+  constexpr std::uint64_t kResolveBudget = 9;
+  constexpr std::uint64_t kPtrBudget = 8;
+  constexpr std::uint64_t kUninternedPtrBudget = 9;
   const std::uint64_t resolve = allocations_in([&] {
     EXPECT_TRUE(stub.resolve_with_own_subnet(name).ok());
   });
   const std::uint64_t ptr = allocations_in([&] { EXPECT_FALSE(stub.resolve_ptr(router).empty()); });
+  const net::Ipv4Addr other_router(router.to_uint() + 1);
+  ASSERT_EQ(testbed.world().interned_rdns(other_router), nullptr);
+  ASSERT_FALSE(stub.resolve_ptr(other_router).empty());
+  const std::uint64_t uninterned_ptr =
+      allocations_in([&] { EXPECT_FALSE(stub.resolve_ptr(other_router).empty()); });
+  EXPECT_EQ(testbed.world().interned_rdns(other_router), nullptr);
   EXPECT_LE(resolve, kResolveBudget);
   EXPECT_LE(ptr, kPtrBudget);
-  std::cout << "allocations: A resolution " << resolve << ", PTR resolution " << ptr << "\n";
+  EXPECT_LE(uninterned_ptr, kUninternedPtrBudget);
+  std::cout << "allocations: A resolution " << resolve << ", PTR resolution " << ptr
+            << " (uninterned name " << uninterned_ptr << ")\n";
 }
 
 TEST(AllocBudgetTest, WarmTracerouteAllocatesOnlyItsHops) {
@@ -241,6 +257,31 @@ TEST(AllocBudgetTest, WarmAnycastRttAllocatesNothing) {
     }
   }
   ASSERT_GT(vips, 0u) << "no anycast VIP to ping";
+}
+
+TEST(AllocBudgetTest, WarmTrialStaysWithinBudget) {
+  measure::Testbed testbed(small_testbed());
+  const measure::TrialRunner runner(&testbed, 11);
+  const measure::CampaignTask task{0, 0, 0, 1.0, std::nullopt};
+  // The first run fills the world's and the CDNs' memos; the second is the
+  // same trial, draw for draw, on warm state.
+  const measure::TrialRecord cold = runner.run_task(task);
+  ASSERT_EQ(cold.outcome, measure::TrialOutcome::kOk);
+  ASSERT_FALSE(cold.hops.empty());
+  measure::TrialRecord warm;
+  const std::uint64_t n = allocations_in([&] { warm = runner.run_task(task); });
+  EXPECT_EQ(warm.hops.size(), cold.hops.size());
+  EXPECT_EQ(warm.health, cold.health);
+
+  // Pinned from the measured count: the trial's own resolutions (about the
+  // budgets above, times health.queries), its traceroutes' hop vectors,
+  // the record's strings and vectors, and one reserved vector each for the
+  // seen subnets, the PTR names and the measured replicas. Bookkeeping in
+  // node-based maps and sets would add a node per entry.
+  constexpr std::uint64_t kTrialBudget = 247;
+  EXPECT_LE(n, kTrialBudget);
+  std::cout << "allocations: warm trial " << n << " (" << warm.health.queries
+            << " queries, " << warm.hops.size() << " hops)\n";
 }
 
 TEST(AllocBudgetTest, ChoosingAmongTiedSubnetsDoesNotAllocate) {

@@ -221,7 +221,9 @@ TEST(ClientSubnetTest, MalformedWireNeverSurfacesInvalidArgument) {
       EXPECT_EQ(ecs.family, wire.size() >= 2
                                 ? (std::uint16_t{wire[0]} << 8 | wire[1])
                                 : ecs.family);
-      if (ecs.is_representable()) EXPECT_NO_THROW((void)ecs.source_prefix());
+      if (ecs.is_representable()) {
+        EXPECT_NO_THROW((void)ecs.source_prefix());
+      }
     } catch (const net::ParseError&) {
       // The only acceptable failure for wire-supplied bytes.
     } catch (const net::InvalidArgument& e) {

@@ -142,7 +142,9 @@ TEST_P(FaultMatrixTest, CampaignDegradesGracefully) {
   EXPECT_GT(health.ok_trials + health.degraded_trials, records.size() / 2);
   for (const auto& r : records) {
     EXPECT_EQ(r.failed(), r.cr.empty());
-    if (r.outcome != measure::TrialOutcome::kOk) EXPECT_FALSE(r.failure.empty());
+    if (r.outcome != measure::TrialOutcome::kOk) {
+      EXPECT_FALSE(r.failure.empty());
+    }
   }
 }
 

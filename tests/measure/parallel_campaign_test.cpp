@@ -179,6 +179,66 @@ TEST(ParallelCampaignTest, StatefulRunAdvancesTrials) {
   expect_identical({first, second}, {replay.run(0, 0, 0.0, 0), replay.run(0, 0, 0.0, 0)});
 }
 
+/// Runs `tasks` on a fresh testbed built from `config` with a pool of
+/// `threads` workers (1 = serial in the calling thread).
+std::vector<TrialRecord> run_tasks_at(const TestbedConfig& config, std::uint64_t runner_seed,
+                                      const std::vector<CampaignTask>& tasks, int threads) {
+  Testbed testbed(config);
+  TrialRunner runner(&testbed, runner_seed);
+  return ParallelCampaignRunner(&runner, {.threads = threads}).run(tasks);
+}
+
+/// The pool's unit of work is one (client, provider) pair, so a task list
+/// whose units are few, uneven or full of faults must still come back
+/// exactly as a serial run produces it.
+void expect_pool_matches_serial(const TestbedConfig& config, std::uint64_t runner_seed,
+                                const std::vector<CampaignTask>& tasks) {
+  const auto serial = run_tasks_at(config, runner_seed, tasks, 1);
+  ASSERT_EQ(serial.size(), tasks.size());
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_identical(serial, run_tasks_at(config, runner_seed, tasks, threads));
+  }
+}
+
+TEST(CampaignPoolTest, OneClientCampaignMatchesSerial) {
+  // Each of the client's provider pairs is a unit of its own, so even one
+  // client's trials spread over the pool.
+  TestbedConfig config = tiny_config();
+  config.client_count = 1;
+  Testbed testbed(config);
+  const auto tasks = TrialRunner(&testbed, 31).campaign_tasks(4, 1.5);
+  ASSERT_EQ(tasks.size(), 6u * 4u);
+  expect_pool_matches_serial(config, 31, tasks);
+}
+
+TEST(CampaignPoolTest, UnevenSporadicTaskListMatchesSerial) {
+  Testbed testbed(tiny_config());
+  const auto sporadic = TrialRunner(&testbed, 32).sporadic_tasks(5);
+  // Thin the list unevenly: pairs keep between none and all of their
+  // trials, so units differ in size and some pairs have no unit at all.
+  std::vector<CampaignTask> tasks;
+  for (const CampaignTask& task : sporadic) {
+    const std::size_t keep = (task.client_index * 7 + task.provider_index * 3) % 6;
+    if (task.trial_index < keep) tasks.push_back(task);
+  }
+  ASSERT_GT(tasks.size(), 0u);
+  ASSERT_LT(tasks.size(), sporadic.size());
+  expect_pool_matches_serial(tiny_config(), 32, tasks);
+}
+
+TEST(CampaignPoolTest, ChaosFaultCampaignMatchesSerial) {
+  TestbedConfig config = tiny_config();
+  config.fault_profile = dns::FaultProfile::chaos();
+  Testbed testbed(config);
+  const auto tasks = TrialRunner(&testbed, 33).campaign_tasks(3, 1.5);
+  expect_pool_matches_serial(config, 33, tasks);
+  // The faults fired: the identity covers degraded and failed trials too.
+  const CampaignHealth health = aggregate_health(run_tasks_at(config, 33, tasks, 4));
+  EXPECT_GT(health.degraded_trials + health.failed_trials, 0u);
+  EXPECT_GT(health.totals.retries, 0u);
+}
+
 TEST(ResolveThreadCountTest, KnobSemantics) {
   EXPECT_EQ(resolve_thread_count(1), 1);
   EXPECT_EQ(resolve_thread_count(7), 7);

@@ -202,7 +202,9 @@ TEST(IpLpmPropertyTest, TrieMatchesNaiveModelAcrossFamilies) {
         ASSERT_EQ(got != nullptr, expect != nullptr)
             << "find diverged on " << p.to_string() << " (seed=" << seed
             << " round=" << round << " step=" << step << ")";
-        if (expect != nullptr) ASSERT_EQ(*got, *expect);
+        if (expect != nullptr) {
+          ASSERT_EQ(*got, *expect);
+        }
       } else {
         const IpAddr addr = gen.next_addr();
         const int max_len = static_cast<int>(rng.uniform(

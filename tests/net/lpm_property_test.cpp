@@ -176,7 +176,9 @@ TEST(LpmPropertyTest, TrieMatchesNaiveModelThroughRandomInterleavings) {
         ASSERT_EQ(got != nullptr, expect != nullptr)
             << "find diverged on " << p.to_string() << " (seed=" << seed
             << " round=" << round << " step=" << step << ")";
-        if (expect != nullptr) ASSERT_EQ(*got, *expect);
+        if (expect != nullptr) {
+          ASSERT_EQ(*got, *expect);
+        }
       } else {
         const Ipv4Addr addr = gen.next_addr();
         const int max_len = static_cast<int>(rng.uniform(33));
