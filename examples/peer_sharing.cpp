@@ -4,14 +4,13 @@
 //   $ ./peer_sharing [devices] [seed]
 //
 // Simulates a household/office /24 with several devices. One device runs
-// the idle-time trials; every device's Drongo fills its windows from the
-// shared pool. The output compares measurement cost and decisions with and
-// without sharing.
+// the idle-time trials; every device joins one ValleyStore cluster and
+// falls back to its pooled knowledge. The output compares measurement cost
+// and decisions with and without sharing.
 #include <cstdlib>
 #include <iostream>
 
 #include "core/drongo.hpp"
-#include "core/peer_share.hpp"
 #include "measure/testbed.hpp"
 
 using namespace drongo;
@@ -47,25 +46,31 @@ int main(int argc, char** argv) {
   }
   const auto solo_queries = network.exchange_count() - queries_before_solo;
 
-  // With sharing: one device measures, all observe.
+  // With sharing: device 0 measures and contributes its trials to the
+  // store; every device consults the /24 cluster's pooled knowledge.
   const auto queries_before_shared = network.exchange_count();
-  core::PeerSharePool pool;
-  const auto group = core::share_group_key(testbed.world(), testbed.clients()[0],
-                                           core::ShareScope::kSlash24);
-  std::vector<std::unique_ptr<core::DecisionEngine>> shared_engines;
+  core::ValleyStore store(core::ValleyStoreParams{
+      .valley_threshold = params.valley_threshold,
+      .min_valley_frequency = params.min_valley_frequency,
+      .min_observations = params.window_size,
+      .convention = params.convention,
+  });
+  const auto client_subnet = net::Prefix(testbed.clients()[0], 24);
+  const auto group = client_subnet.to_string();
+  std::vector<std::unique_ptr<core::DrongoClient>> shared_devices;
   for (int d = 0; d < devices; ++d) {
-    shared_engines.push_back(std::make_unique<core::DecisionEngine>(params, seed + d));
-    pool.join(group, shared_engines.back().get());
+    shared_devices.push_back(std::make_unique<core::DrongoClient>(params, seed + d));
+    shared_devices.back()->share_via(&store, group);
   }
   for (int t = 0; t < window; ++t) {
-    pool.publish(group, runner.run(0, 0, 100.0 + t * 12.0, 0));
+    shared_devices[0]->observe(runner.run(0, 0, 100.0 + t * 12.0, 0));
   }
   const auto shared_queries = network.exchange_count() - queries_before_shared;
 
   std::cout << devices << " devices in " << group << ", window " << window << ":\n";
   std::cout << "  without sharing: " << solo_queries << " DNS exchanges\n";
   std::cout << "  with sharing:    " << shared_queries << " DNS exchanges ("
-            << pool.trials_saved() << " peer trials saved)\n";
+            << (devices - 1) * window << " peer trials saved)\n";
   std::cout << "  reduction:       "
             << (solo_queries == 0
                     ? 0.0
@@ -74,10 +79,11 @@ int main(int argc, char** argv) {
                           100.0)
             << "%\n\n";
 
-  // Decisions agree across shared devices.
+  // A device is qualified when it would assimilate a subnet for the domain.
   int decided = 0;
-  for (auto& engine : shared_engines) {
-    if (engine->choose(domain)) ++decided;
+  const auto name = dns::DnsName::must_parse(domain);
+  for (auto& device : shared_devices) {
+    if (device->select_subnet(name, client_subnet)) ++decided;
   }
   std::cout << decided << "/" << devices
             << " shared devices hold a qualified assimilation subnet for " << domain

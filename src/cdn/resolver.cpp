@@ -11,12 +11,6 @@ namespace drongo::cdn {
 
 namespace {
 
-ServingConfig legacy_config(bool enable_cache) {
-  ServingConfig serving;
-  serving.enable_cache = enable_cache;
-  return serving;
-}
-
 /// Writes `name`'s wire form with ASCII letters lowercased (RFC 1035
 /// §2.3.3 folding; length bytes are never letters) to `out`, which holds
 /// DnsName::kMaxWireLength bytes; returns the bytes written.
@@ -37,10 +31,6 @@ bool has_address(const dns::Message& message) {
 }
 
 }  // namespace
-
-PublicResolver::PublicResolver(dns::DnsTransport* transport, net::Ipv4Addr own_address,
-                               bool enable_cache)
-    : PublicResolver(transport, own_address, legacy_config(enable_cache)) {}
 
 PublicResolver::PublicResolver(dns::DnsTransport* transport, net::Ipv4Addr own_address,
                                const ServingConfig& serving)

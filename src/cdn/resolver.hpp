@@ -39,7 +39,7 @@ struct ServingConfig {
   /// CoDel-style admission control in front of the serving path: when
   /// enabled, arrivals whose virtual-queue sojourn violates the drop law
   /// are shed with SERVFAIL instead of degrading every queued query.
-  CodelConfig overload;
+  CodelConfig overload{};
 };
 
 /// An ECS-forwarding public recursive resolver, modelled on Google Public
@@ -59,9 +59,7 @@ class PublicResolver : public dns::DnsServer {
  public:
   /// `transport` carries queries to authoritatives; borrowed.
   PublicResolver(dns::DnsTransport* transport, net::Ipv4Addr own_address,
-                 bool enable_cache = false);
-  PublicResolver(dns::DnsTransport* transport, net::Ipv4Addr own_address,
-                 const ServingConfig& serving);
+                 const ServingConfig& serving = {});
 
   /// Registers the authoritative server address for a zone. Zone names
   /// compare case-insensitively: registering one again in other case

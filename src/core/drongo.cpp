@@ -61,33 +61,6 @@ dns::ResolutionResult DrongoClient::resolve(dns::StubResolver& stub,
   return stub.resolve_with_own_subnet(domain);
 }
 
-void DrongoClient::enable_gwtw(int k) {
-  if (k < 0) throw net::InvalidArgument("gwtw k must be >= 0");
-  gwtw_k_ = k;
-  if (k >= 2) {
-    RaceConfig config;
-    config.k = k;
-    racer_ = std::make_unique<ReplicaRacer>(config);
-    racer_->set_registry(registry_);
-  } else {
-    racer_.reset();
-  }
-}
-
-RacedResolution DrongoClient::resolve_racing(dns::StubResolver& stub,
-                                             const dns::DnsName& domain,
-                                             topology::World& world, net::Rng& rng) {
-  RacedResolution out;
-  out.resolution = resolve(stub, domain);
-  if (out.resolution.addresses.empty()) return out;
-  out.chosen = out.resolution.addresses.front();
-  if (racer_ != nullptr && out.resolution.addresses.size() > 1) {
-    out.race = racer_->race(world, stub.client_address(), out.resolution.addresses, rng);
-    out.chosen = out.race->winner();
-  }
-  return out;
-}
-
 std::optional<net::Prefix> DrongoClient::select_subnet(const dns::DnsName& domain,
                                                        const net::Prefix& /*client*/) {
   ++total_;

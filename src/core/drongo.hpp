@@ -2,28 +2,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/decision.hpp"
-#include "core/race.hpp"
 #include "core/valley_store.hpp"
 #include "dns/proxy.hpp"
 #include "dns/stub_resolver.hpp"
 #include "measure/trial.hpp"
 
 namespace drongo::core {
-
-/// A resolution plus the race that (optionally) picked its replica.
-struct RacedResolution {
-  dns::ResolutionResult resolution;
-  /// Present when GWTW was enabled and the answer had contestants to race.
-  std::optional<RaceResult> race;
-  /// The replica to connect to: the race winner when a race ran, else the
-  /// answer's first address; empty when the resolution produced none.
-  std::optional<net::Ipv4Addr> chosen;
-};
 
 /// The deployable Drongo system for one client machine.
 ///
@@ -57,12 +45,13 @@ class DrongoClient : public dns::SubnetSelector {
     if (store_ != nullptr) store_->contribute(cluster_, trial);
   }
 
-  /// Joins the crowd-shared valley store as a member of `cluster` (see
-  /// core::routing_cluster_key). The store is borrowed and must outlive the
-  /// client; nullptr leaves. While joined, every observed trial is also
-  /// contributed to the cluster's pooled knowledge, and resolutions fall
-  /// back to the cluster's choice when this client's own windows are not
-  /// yet conclusive — own evidence always outranks crowd evidence.
+  /// Joins the crowd-shared valley store as a member of `cluster` (a key
+  /// its members share: a /24, or core::routing_cluster_key). The store is
+  /// borrowed and must outlive the client; nullptr leaves. While joined,
+  /// every observed trial is also contributed to the cluster's pooled
+  /// knowledge, and resolutions fall back to the cluster's choice when this
+  /// client's own windows are not yet conclusive — own evidence always
+  /// outranks crowd evidence.
   void share_via(ValleyStore* store, std::string cluster) {
     store_ = store;
     cluster_ = std::move(cluster);
@@ -72,22 +61,6 @@ class DrongoClient : public dns::SubnetSelector {
   /// exists, else the client's own /24. Takes the FIRST replica of the
   /// answer — always respecting the CDN's serving order.
   dns::ResolutionResult resolve(dns::StubResolver& stub, const dns::DnsName& domain);
-
-  /// Enables Go-With-The-Winner mode: resolve_racing then races the first
-  /// `k` replicas of every answer and commits to the fastest. k < 2
-  /// disables racing (resolve_racing keeps the first replica); negative k
-  /// throws net::InvalidArgument. Setup-phase: call before resolving.
-  void enable_gwtw(int k);
-
-  /// Like resolve(), then — when GWTW is enabled and the answer has more
-  /// than one address — races the leading replicas over `world` with RTT
-  /// draws from `rng` and commits to the winner. The rival strategy to
-  /// valley assimilation: measure at resolution time instead of ahead of it.
-  RacedResolution resolve_racing(dns::StubResolver& stub, const dns::DnsName& domain,
-                                 topology::World& world, net::Rng& rng);
-
-  /// The racer behind GWTW mode, or nullptr while disabled.
-  [[nodiscard]] const ReplicaRacer* racer() const { return racer_.get(); }
 
   /// SubnetSelector hook for LdnsProxy deployment.
   std::optional<net::Prefix> select_subnet(const dns::DnsName& domain,
@@ -117,7 +90,6 @@ class DrongoClient : public dns::SubnetSelector {
   void set_registry(obs::Registry* registry) {
     registry_ = registry;
     engine_.set_registry(registry);
-    if (racer_ != nullptr) racer_->set_registry(registry);
   }
 
  private:
@@ -126,10 +98,8 @@ class DrongoClient : public dns::SubnetSelector {
   std::optional<net::Prefix> choose_subnet(const std::string& domain);
 
   DecisionEngine engine_;
-  std::unique_ptr<ReplicaRacer> racer_;  ///< non-null while GWTW is enabled
-  int gwtw_k_ = 0;
   ValleyStore* store_ = nullptr;  // borrowed; optional crowd knowledge
-  std::string cluster_;           ///< this client's routing-similarity cluster
+  std::string cluster_;           ///< this client's sharing cluster
   std::uint64_t assimilated_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t assimilation_fallbacks_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "net/error.hpp"
 #include "net/strings.hpp"
@@ -53,20 +52,6 @@ std::string routing_cluster_key(topology::World& world, net::Ipv4Addr client,
     }
   }
   return key;
-}
-
-bool parse_valley_share(const char* value) {
-  if (value == nullptr || value[0] == '\0') return false;
-  const std::string v = net::to_lower(value);
-  if (v == "0" || v == "false" || v == "off") return false;
-  if (v == "1" || v == "true" || v == "on") return true;
-  throw net::InvalidArgument(
-      "DRONGO_VALLEY_SHARE must be one of 0/false/off/1/true/on, got \"" +
-      std::string(value) + "\"");
-}
-
-bool valley_share_from_env() {
-  return parse_valley_share(std::getenv("DRONGO_VALLEY_SHARE"));
 }
 
 struct ValleyStore::Stripe {

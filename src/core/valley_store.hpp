@@ -1,14 +1,11 @@
 // Crowd-shared valley knowledge base (the paper's §7 "crowd-sourced
-// Drongo" direction, one step past peer_share's same-subnet pooling).
+// Drongo" direction, where clients share trial data).
 //
-// peer_share trains every member engine with every published trial — full
-// fidelity, but the pool must hold borrowed engine pointers and the win is
-// bounded by one subnet's population. This store flips the data flow:
-// clients *contribute* their trials into a shared knowledge base keyed by a
-// routing-similarity cluster, and any client in the cluster *consults* it at
-// resolution time when its own training windows are not yet conclusive. One
-// training window's worth of measurements then amortizes across every
-// routing-congruent client, whether or not they share a subnet.
+// Clients *contribute* their trials into a shared knowledge base keyed by a
+// cluster, and any client in the cluster *consults* it at resolution time
+// when its own training windows are not yet conclusive. One training
+// window's worth of measurements then amortizes across every member of the
+// cluster, whether or not they share a subnet.
 //
 // Clusters come from routing_cluster_key(): clients whose valley-free BGP
 // paths toward the provider landmarks traverse the same first transit ASes
@@ -84,15 +81,6 @@ struct ValleyStoreParams {
 std::string routing_cluster_key(topology::World& world, net::Ipv4Addr client,
                                 const std::vector<std::size_t>& landmark_as_indices,
                                 int depth = 2);
-
-/// Parses a DRONGO_VALLEY_SHARE value: "" / unset / "0" / "false" / "off"
-/// disable sharing, "1" / "true" / "on" enable it. Anything else throws
-/// net::InvalidArgument loudly — a typo must not silently run a different
-/// scenario (same contract as parse_thread_count).
-bool parse_valley_share(const char* value);
-
-/// parse_valley_share over the DRONGO_VALLEY_SHARE environment variable.
-bool valley_share_from_env();
 
 class ValleyStore {
  public:

@@ -13,11 +13,9 @@ namespace drongo::measure {
 
 namespace {
 
-// v2 added per-trial outcome/failure fields and the health line; v1 files
-// (all trials implicitly ok, no health) still load. v3 added `race|` lines
-// (GWTW standings) and is emitted only when a record carries race data, so
-// racing-free campaigns keep producing v2 files older tooling reads.
-constexpr const char* kMagicV1 = "drongo-dataset-v1";
+// v2 carries per-trial outcome/failure fields and the health line. v3 adds
+// `race|` lines (GWTW standings) and is emitted only when a record carries
+// race data, so racing-free campaigns keep producing v2 files.
 constexpr const char* kMagicV2 = "drongo-dataset-v2";
 constexpr const char* kMagicV3 = "drongo-dataset-v3";
 
@@ -111,7 +109,7 @@ void save_dataset_file(const std::string& path, const std::vector<TrialRecord>& 
 std::vector<TrialRecord> load_dataset(std::istream& in) {
   std::string line;
   if (!std::getline(in, line) ||
-      (line != kMagicV1 && line != kMagicV2 && line != kMagicV3)) {
+      (line != kMagicV2 && line != kMagicV3)) {
     throw net::ParseError("dataset missing magic header");
   }
   std::vector<TrialRecord> records;
@@ -121,8 +119,7 @@ std::vector<TrialRecord> load_dataset(std::istream& in) {
     const auto fields = net::split(line, '|');
     const std::string& kind = fields[0];
     if (kind == "trial") {
-      // 6 fields = v1 (implicitly ok), 8 = v2 with outcome + failure.
-      if (fields.size() != 6 && fields.size() != 8) {
+      if (fields.size() != 8) {
         throw net::ParseError("bad trial line: " + line);
       }
       TrialRecord r;
@@ -131,10 +128,8 @@ std::vector<TrialRecord> load_dataset(std::istream& in) {
       r.client_index = parse_u64(fields[3]);
       r.client = net::Ipv4Addr::must_parse(fields[4]);
       r.time_hours = parse_double(fields[5]);
-      if (fields.size() == 8) {
-        r.outcome = trial_outcome_from_string(fields[6]);
-        r.failure = fields[7];
-      }
+      r.outcome = trial_outcome_from_string(fields[6]);
+      r.failure = fields[7];
       records.push_back(std::move(r));
       current_hop = nullptr;
     } else if (kind == "health") {

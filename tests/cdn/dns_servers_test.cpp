@@ -171,7 +171,7 @@ TEST_F(DnsServersFixture, ResolverInsertsClientSubnetWhenMissing) {
 }
 
 TEST_F(DnsServersFixture, ResolverCacheRespectsScope) {
-  PublicResolver resolver(&network_, client_, /*enable_cache=*/true);
+  PublicResolver resolver(&network_, client_, ServingConfig{.enable_cache = true});
   resolver.register_zone(dns::DnsName::must_parse(provider_->profile().zone), auth_addr_);
   const auto name = "img." + provider_->profile().zone;
   resolver.set_time_ms(0);

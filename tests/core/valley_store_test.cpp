@@ -1,7 +1,8 @@
-// Crowd-shared valley store: semantics, routing clusters, and the
-// determinism contract (any contribution interleaving, any thread count ->
-// identical state). The threaded stress test runs under the `sharing` CTest
-// label, which the analysis matrix includes in its TSan stage.
+// Crowd-shared valley store: semantics, routing clusters, peer sharing
+// between DrongoClients, and the determinism contract (any contribution
+// interleaving, any thread count -> identical state). The threaded stress
+// test runs under the `sharing` CTest label, which the analysis matrix
+// includes in its TSan stage.
 #include "core/valley_store.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/drongo.hpp"
-#include "core/peer_share.hpp"
 #include "measure/testbed.hpp"
 #include "net/error.hpp"
 #include "obs/metrics.hpp"
@@ -170,17 +170,64 @@ TEST(ValleyStoreTest, DrongoClientFallsBackToCrowdKnowledge) {
                    .has_value());
 }
 
-TEST(ValleyStoreTest, PeerSharePoolBridgesIntoStore) {
+// --- Peer sharing (§7): DrongoClients pooling trials through the store. ---
+
+TEST(PeerShareTest, RejoiningMovesTheEngine) {
   ValleyStore store(quick_params());
-  PeerSharePool pool;
-  pool.attach_store(&store);
-  // Publishing into an empty group still feeds the shared store: the pool
-  // is the ingestion seam even when no engine joined the group yet.
+  DrongoClient roamer;
+  roamer.share_via(&store, "old");
+  roamer.share_via(&store, "new");
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(pool.publish("group-1", make_trial("img.cdn", kValleySubnet, 100.0, 50.0)),
-              0u);
+    roamer.observe(make_trial("img.cdn", kValleySubnet, 100.0, 50.0));
   }
-  EXPECT_TRUE(store.choose("group-1", "img.cdn").has_value());
+  EXPECT_TRUE(store.choose("new", "img.cdn").has_value());
+  EXPECT_FALSE(store.choose("old", "img.cdn").has_value());
+  // Leaving the store stops the contributions.
+  roamer.share_via(nullptr, "");
+  roamer.observe(make_trial("img.cdn", kValleySubnet, 100.0, 50.0));
+  EXPECT_EQ(store.stats().contributions, 3u);
+}
+
+TEST(PeerShareTest, HouseholdSharingFillsTheIdleDeviceForFree) {
+  // Two devices behind one /24 (the paper's "clients in the same subnet")
+  // join one store cluster: device A runs the trials, device B runs none
+  // and still assimilates a subnet that A's own windows qualified.
+  measure::TestbedConfig config;
+  config.as_config.tier1_count = 4;
+  config.as_config.tier2_count = 8;
+  config.as_config.stub_count = 30;
+  config.client_count = 2;
+  config.seed = 73;
+  measure::Testbed testbed(config);
+  measure::TrialRunner runner(&testbed, 74);
+  const DrongoParams params;
+  ValleyStore store(ValleyStoreParams{
+      .valley_threshold = params.valley_threshold,
+      .min_valley_frequency = params.min_valley_frequency,
+      .min_observations = params.window_size,
+      .convention = params.convention,
+  });
+  const net::Prefix household(testbed.clients()[0], 24);
+  DrongoClient device_a(params, 1);
+  DrongoClient device_b(params, 1);
+  device_a.share_via(&store, household.to_string());
+  device_b.share_via(&store, household.to_string());
+
+  std::string domain;
+  for (std::size_t t = 0; t < params.window_size; ++t) {
+    const auto trial =
+        runner.run(/*client=*/0, /*provider=*/0, t * 12.0, /*label_index=*/0);
+    domain = trial.domain;
+    device_a.observe(trial);
+  }
+  const auto choice = device_b.select_subnet(dns::DnsName::must_parse(domain), household);
+  ASSERT_TRUE(choice.has_value());
+  EXPECT_EQ(device_b.engine().tracked_windows(), 0u);
+  EXPECT_EQ(device_b.shared_assimilations(), 1u);
+  const auto a_candidates = device_a.engine().candidates(domain);
+  EXPECT_TRUE(std::ranges::any_of(a_candidates, [&](const auto& c) {
+    return c.qualified && c.subnet == *choice;
+  }));
 }
 
 TEST(ValleyStoreTest, RoutingClusterKeyGroupsByTransitPath) {
@@ -260,19 +307,6 @@ std::string fingerprint(ValleyStore& store) {
     }
   }
   return out;
-}
-
-TEST(ValleyShareEnvTest, ParsesOnOffSpellingsAndRejectsGarbage) {
-  EXPECT_FALSE(parse_valley_share(nullptr));
-  EXPECT_FALSE(parse_valley_share(""));
-  EXPECT_FALSE(parse_valley_share("0"));
-  EXPECT_FALSE(parse_valley_share("off"));
-  EXPECT_FALSE(parse_valley_share("False"));
-  EXPECT_TRUE(parse_valley_share("1"));
-  EXPECT_TRUE(parse_valley_share("ON"));
-  EXPECT_TRUE(parse_valley_share("true"));
-  EXPECT_THROW(parse_valley_share("banana"), net::InvalidArgument);
-  EXPECT_THROW(parse_valley_share("2"), net::InvalidArgument);
 }
 
 TEST(ValleyStoreConcurrencyTest, ThreadedContributionMatchesSerialByteForByte) {

@@ -46,7 +46,8 @@ class CachingFixture : public ::testing::Test {
     }
     resolver_addr_ = world_->add_host(t1, topology::HostKind::kServer, 0);
     resolver_ =
-        std::make_unique<cdn::PublicResolver>(&network_, resolver_addr_, /*cache=*/true);
+        std::make_unique<cdn::PublicResolver>(&network_, resolver_addr_,
+                                              cdn::ServingConfig{.enable_cache = true});
     resolver_->register_zone(dns::DnsName::must_parse(provider_->profile().zone),
                              auth_addr_);
     network_.register_server(resolver_addr_, resolver_.get());

@@ -181,16 +181,14 @@ TEST(FaultCampaignTest, DatasetRoundTripsOutcomeAndHealth) {
   EXPECT_TRUE(aggregate_health(reloaded) == aggregate_health(records));
 }
 
-TEST(FaultCampaignTest, V1DatasetsStillLoad) {
+TEST(FaultCampaignTest, V1DatasetsAreRejected) {
+  // v1 had no outcome/failure fields; only v2 and v3 (what the writer
+  // emits) load.
   std::stringstream v1;
   v1 << "drongo-dataset-v1\n"
      << "trial|cdn-a|img.cdn.sim|3|20.1.36.10|1.5\n"
      << "cr|21.0.0.1|12.5|0|0\n";
-  const auto records = load_dataset(v1);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].outcome, TrialOutcome::kOk);
-  EXPECT_TRUE(records[0].failure.empty());
-  EXPECT_TRUE(records[0].health == HealthCounters{});
+  EXPECT_THROW(load_dataset(v1), net::ParseError);
 }
 
 TEST(FaultCampaignTest, DecisionEngineSkipsFailedTrialsAndCountsThem) {

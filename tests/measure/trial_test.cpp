@@ -6,6 +6,7 @@
 #include "measure/testbed.hpp"
 #include "measure/trial.hpp"
 #include "net/error.hpp"
+#include "obs/metrics.hpp"
 
 #include <cmath>
 #include <set>
@@ -230,20 +231,144 @@ TEST_F(TrialFixture, DatasetRoundTripsExactly) {
 }
 
 TEST(DatasetTest, RejectsMalformedInput) {
-  std::stringstream missing_magic("trial|x|y|0|1.2.3.4|0\n");
+  std::stringstream missing_magic("trial|x|y|0|1.2.3.4|0|ok|\n");
   EXPECT_THROW(load_dataset(missing_magic), net::ParseError);
 
-  std::stringstream orphan_cr("drongo-dataset-v1\ncr|1.2.3.4|5|0|0\n");
+  std::stringstream orphan_cr("drongo-dataset-v2\ncr|1.2.3.4|5|0|0\n");
   EXPECT_THROW(load_dataset(orphan_cr), net::ParseError);
 
-  std::stringstream bad_number("drongo-dataset-v1\ntrial|p|d|zero|1.2.3.4|0\n");
+  // Eight fields, so the line fails on the number, not on the field count.
+  std::stringstream bad_number("drongo-dataset-v2\ntrial|p|d|zero|1.2.3.4|0|ok|\n");
   EXPECT_THROW(load_dataset(bad_number), net::ParseError);
 
-  std::stringstream unknown_kind("drongo-dataset-v1\nwat|1\n");
+  std::stringstream unknown_kind("drongo-dataset-v2\nwat|1\n");
   EXPECT_THROW(load_dataset(unknown_kind), net::ParseError);
 
-  std::stringstream empty_ok("drongo-dataset-v1\n");
+  std::stringstream empty_ok("drongo-dataset-v2\n");
   EXPECT_TRUE(load_dataset(empty_ok).empty());
+}
+
+// ---- Go-With-The-Winner: the trial's race step ----------------------------
+
+class RaceFixture : public TrialFixture {
+ protected:
+  TrialRunner racing_runner(int gwtw_k, std::uint64_t seed = 7) {
+    TrialConfig config;
+    config.gwtw_k = gwtw_k;
+    return TrialRunner(&testbed_, seed, config);
+  }
+
+  /// One trial per provider for client 0, so both one- and many-replica
+  /// answers are covered.
+  std::vector<TrialRecord> campaign(TrialRunner& runner) {
+    std::vector<TrialRecord> records;
+    for (std::size_t p = 0; p < testbed_.provider_count(); ++p) {
+      records.push_back(runner.run(0, p, 1.0, 0));
+    }
+    return records;
+  }
+};
+
+/// The dataset text of `records`. The writer keeps full precision, so equal
+/// texts mean equal records.
+std::string dataset_text(const std::vector<TrialRecord>& records) {
+  std::ostringstream out;
+  save_dataset(out, records);
+  return out.str();
+}
+
+std::string magic_of(const std::vector<TrialRecord>& records) {
+  const std::string text = dataset_text(records);
+  return text.substr(0, text.find('\n'));
+}
+
+TEST_F(RaceFixture, SubTwoKDegeneratesToFirstReplica) {
+  // k < 2 never races: the client keeps the CDN's first replica, and the
+  // campaign is written in the race-free v2 format.
+  for (int k : {0, 1}) {
+    auto runner = racing_runner(k);
+    const auto records = campaign(runner);
+    for (const auto& r : records) {
+      EXPECT_TRUE(r.race.empty()) << "k=" << k;
+      EXPECT_EQ(r.race_winner(), 0u);
+      EXPECT_TRUE(std::isinf(r.race_winner_rtt_ms()));
+    }
+    EXPECT_EQ(magic_of(records), "drongo-dataset-v2") << "k=" << k;
+  }
+}
+
+TEST_F(RaceFixture, FieldIsClampedToTheAnswer) {
+  auto runner = racing_runner(16);
+  bool raced_many = false;
+  for (const auto& r : campaign(runner)) {
+    ASSERT_FALSE(r.cr.empty()) << r.provider;
+    ASSERT_LT(r.cr.size(), 16u) << r.provider;
+    ASSERT_EQ(r.race.size(), r.cr.size()) << r.provider;
+    // Contestants keep the CDN's answer order.
+    for (std::size_t i = 0; i < r.race.size(); ++i) {
+      EXPECT_EQ(r.race[i].replica, r.cr[i].replica);
+    }
+    raced_many |= r.race.size() >= 2;
+  }
+  EXPECT_TRUE(raced_many);
+}
+
+TEST_F(RaceFixture, WinnerHasTheMinimumRtt) {
+  TrialRecord r;
+  for (double rtt : {30.0, 10.0, 10.0, 20.0}) {
+    r.race.push_back({net::Ipv4Addr(198, 18, 0, static_cast<std::uint8_t>(rtt)), rtt});
+  }
+  EXPECT_EQ(r.race_winner(), 1u);  // the tie with index 2 goes to the earlier
+  EXPECT_DOUBLE_EQ(r.race_winner_rtt_ms(), 10.0);
+  for (auto& m : r.race) m.rtt_ms = 25.0;
+  EXPECT_EQ(r.race_winner(), 0u);  // all tied: the CDN's first choice
+}
+
+TEST_F(RaceFixture, NegativeGwtwKThrows) {
+  EXPECT_THROW(racing_runner(-1), net::InvalidArgument);
+}
+
+TEST_F(RaceFixture, SameRngSameRace) {
+  auto a = racing_runner(3, 11);
+  auto b = racing_runner(3, 11);
+  const auto first = campaign(a);
+  EXPECT_FALSE(first[0].race.empty());
+  EXPECT_EQ(dataset_text(first), dataset_text(campaign(b)));
+}
+
+TEST_F(RaceFixture, RacingLeavesTheRestOfTheTrialUntouched) {
+  // The race draws strictly after every baseline draw, so switching it on
+  // changes nothing but the race standings.
+  auto plain = racing_runner(0);
+  auto raced = racing_runner(2);
+  const auto baseline = campaign(plain);
+  const auto racing = campaign(raced);
+  ASSERT_EQ(baseline.size(), racing.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    EXPECT_FALSE(racing[i].race.empty());
+    TrialRecord without_race = racing[i];
+    without_race.race.clear();
+    EXPECT_EQ(dataset_text({without_race}), dataset_text({baseline[i]})) << i;
+  }
+}
+
+TEST_F(RaceFixture, RegistryMirrorsTheTallies) {
+  obs::Registry registry;
+  auto runner = racing_runner(2);
+  runner.set_registry(&registry);
+  const auto records = campaign(runner);
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("measure.trial.races"), records.size());
+  EXPECT_EQ(snap.histograms.at("measure.trial.race_winner_rtt_ms").count, records.size());
+}
+
+TEST_F(RaceFixture, RaceLinesRoundTripUnderTheV3Magic) {
+  auto runner = racing_runner(3);
+  const auto records = campaign(runner);
+  EXPECT_EQ(magic_of(records), "drongo-dataset-v3");
+  std::stringstream buffer(dataset_text(records));
+  const auto loaded = load_dataset(buffer);
+  EXPECT_EQ(dataset_text(loaded), dataset_text(records));
 }
 
 }  // namespace

@@ -228,16 +228,11 @@ int cmd_campaign(const std::vector<std::string>& args) {
                      "Go-With-The-Winner: race the first k replicas per trial "
                      "(0 = off, needs k >= 2 to race)");
   options.add_flag("valley-share",
-                   "fold the campaign into a crowd-shared valley store "
-                   "(also DRONGO_VALLEY_SHARE=1)");
+                   "fold the campaign into a crowd-shared valley store");
   options.parse(args);
   const int threads = options.get("threads").empty()
                           ? measure::thread_count_from_env()
                           : static_cast<int>(options.get_int("threads"));
-  // Parsed up front so a malformed DRONGO_VALLEY_SHARE fails before the
-  // campaign spends any time running.
-  const bool valley_share =
-      options.get_flag("valley-share") || core::valley_share_from_env();
   measure::Testbed testbed(testbed_config(options));
   measure::TrialConfig trial_config;
   trial_config.measure_downloads = options.get_flag("downloads");
@@ -266,9 +261,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
   // and the choose() pass walks clusters in map order — so the
   // `core.valley_store.*` counters land in the registry before the metrics
   // export below and stay byte-identical across thread counts. With the
-  // flag (and DRONGO_VALLEY_SHARE) off, nothing here runs and the telemetry
+  // flag off, nothing here runs and the telemetry
   // is exactly the no-sharing output.
-  if (valley_share) {
+  if (options.get_flag("valley-share")) {
     core::ValleyStore store;
     store.set_registry(&registry);
     std::vector<std::size_t> landmarks;
@@ -544,9 +539,9 @@ int cmd_help() {
                "campaign telemetry: --metrics-out FILE (JSON-lines) and\n"
                "  --metrics-prom FILE (Prometheus text); --profile adds span wall\n"
                "  times (total_ms); see docs/OBSERVABILITY.md\n"
-               "campaign sharing: --valley-share (or DRONGO_VALLEY_SHARE=1) folds\n"
-               "  the campaign into a crowd-shared valley store clustered by\n"
-               "  routing similarity (core.valley_store.* telemetry)\n";
+               "campaign sharing: --valley-share folds the campaign into a\n"
+               "  crowd-shared valley store clustered by routing similarity\n"
+               "  (core.valley_store.* telemetry)\n";
   return 0;
 }
 
