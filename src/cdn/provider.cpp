@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "net/error.hpp"
 
@@ -65,22 +67,11 @@ net::Prefix CdnProvider::mapping_key(const net::Prefix& subnet) const {
   return subnet.truncated(g);
 }
 
-bool CdnProvider::is_mapped(const net::Prefix& subnet) const {
-  const net::Prefix key = mapping_key(subnet);
-  const net::Prefix probe(key.network(), 24);
-  const auto location = world_->subnet_location(probe);
-  if (!location) return false;  // space the CDN cannot even geolocate
-
+bool CdnProvider::covered(const net::Prefix& key, bool eyeball, double nearest_ms) const {
   // Eyeball space is what clients query from; CDNs map it near-completely.
   // Infrastructure space (where traceroute hops live) gets best-effort
   // coverage biased toward the CDN's build-out regions.
-  const bool eyeball = world_->subnet_kind(probe) == topology::SubnetKind::kHost;
-  double base = eyeball ? profile_.mapped_fraction_eyeball : profile_.mapped_fraction;
-
-  double nearest_ms = 1e18;
-  for (const auto& c : clusters_) {
-    nearest_ms = std::min(nearest_ms, topology::propagation_ms(*location, c.location));
-  }
+  const double base = eyeball ? profile_.mapped_fraction_eyeball : profile_.mapped_fraction;
   double factor = 1.0;
   if (nearest_ms > 40.0) factor = eyeball ? 0.97 : 0.7;
   if (nearest_ms > 90.0) factor = eyeball ? 0.93 : 0.45;
@@ -88,25 +79,36 @@ bool CdnProvider::is_mapped(const net::Prefix& subnet) const {
   return u < base * factor;
 }
 
-double CdnProvider::estimate_ms(const topology::GeoPoint& subnet_location,
-                                std::size_t cluster_index, const net::Prefix& key) const {
+bool CdnProvider::is_mapped(const net::Prefix& subnet) const {
+  const net::Prefix key = mapping_key(subnet);
+  const net::Prefix probe(key.network(), 24);
+  const auto location = world_->subnet_location(probe);
+  if (!location) return false;  // space the CDN cannot even geolocate
+  double nearest_ms = 1e18;
+  for (const auto& c : clusters_) {
+    nearest_ms = std::min(nearest_ms, topology::propagation_ms(*location, c.location));
+  }
+  return covered(key, world_->subnet_kind(probe) == topology::SubnetKind::kHost, nearest_ms);
+}
+
+double CdnProvider::estimate_ms(double geo_ms, std::size_t cluster_index,
+                                const net::Prefix& key,
+                                const topology::Host* representative) const {
   const CdnCluster& c = clusters_[cluster_index];
   // Geographic inference: distance-derived RTT, blind to routing.
-  const double geo_rtt = 2.0 * topology::propagation_ms(subnet_location, c.location) + 2.0;
-  // Measurement: true routed RTT from the cluster to a representative
-  // address of the subnet (routers answer pings; hosts are pinged directly).
+  const double geo_rtt = 2.0 * geo_ms + 2.0;
+  // Measurement: true routed RTT from the cluster to the subnet's
+  // representative (routers answer pings; hosts are pinged directly).
   double blended = geo_rtt;
-  if (profile_.routing_awareness > 0.0 && !c.replicas.empty()) {
-    const net::Prefix probe(key.network(), 24);
-    const std::uint32_t rep_suffix =
-        world_->subnet_kind(probe) == topology::SubnetKind::kHost ? 10u : 1u;
-    const net::Ipv4Addr representative(probe.network().to_uint() | rep_suffix);
-    try {
-      const double measured = world_->rtt_base_ms(c.replicas.front(), representative);
-      blended = profile_.routing_awareness * measured +
-                (1.0 - profile_.routing_awareness) * geo_rtt;
-    } catch (const net::Error&) {
-      // Unmeasurable subnet: fall back to pure geography.
+  if (representative != nullptr && !c.replicas.empty()) {
+    if (const auto front = world_->endpoint_of(c.replicas.front())) {
+      try {
+        const double measured = 2.0 * world_->path_one_way_ms(*front, *representative);
+        blended = profile_.routing_awareness * measured +
+                  (1.0 - profile_.routing_awareness) * geo_rtt;
+      } catch (const net::Error&) {
+        // Unroutable pair: fall back to pure geography.
+      }
     }
   }
   const double noise = std::exp(profile_.mapping_noise_sigma *
@@ -115,26 +117,36 @@ double CdnProvider::estimate_ms(const topology::GeoPoint& subnet_location,
   return blended * noise;
 }
 
-std::vector<std::size_t> CdnProvider::ranked_clusters(
-    const topology::GeoPoint& subnet_location, const net::Prefix& key) const {
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(clusters_.size());
-  for (std::size_t i = 0; i < clusters_.size(); ++i) {
-    scored.emplace_back(estimate_ms(subnet_location, i, key), i);
-  }
-  std::sort(scored.begin(), scored.end());
-  std::vector<std::size_t> ranked;
-  ranked.reserve(scored.size());
-  for (const auto& [ms, i] : scored) ranked.push_back(i);
-  return ranked;
-}
-
 CdnProvider::Mapping CdnProvider::compute_mapping(const net::Prefix& key) const {
   Mapping mapping;
-  if (!is_mapped(key)) return mapping;
-  const auto location = world_->subnet_location(net::Prefix(key.network(), 24));
-  if (!location) return mapping;
-  const auto ranked = ranked_clusters(*location, key);
+  const net::Prefix probe(key.network(), 24);
+  const auto location = world_->subnet_location(probe);
+  if (!location) return mapping;  // space the CDN cannot even geolocate
+  const bool eyeball = world_->subnet_kind(probe) == topology::SubnetKind::kHost;
+
+  // Each cluster's geographic delay, computed once: first for the coverage
+  // draw, then as the estimate's geographic part.
+  std::vector<std::pair<double, std::size_t>> scored(clusters_.size());
+  double nearest_ms = 1e18;
+  for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    const double geo_ms = topology::propagation_ms(*location, clusters_[i].location);
+    scored[i] = {geo_ms, i};
+    nearest_ms = std::min(nearest_ms, geo_ms);
+  }
+  if (!covered(key, eyeball, nearest_ms)) return mapping;
+
+  // The address the CDN pings for this key. Unmeasurable (unallocated host
+  // space, say): every cluster falls back to pure geography.
+  std::optional<topology::Host> representative;
+  if (profile_.routing_awareness > 0.0) {
+    representative =
+        world_->endpoint_of(net::Ipv4Addr(probe.network().to_uint() | (eyeball ? 10u : 1u)));
+  }
+  for (auto& [ms, i] : scored) {
+    ms = estimate_ms(ms, i, key, representative ? &*representative : nullptr);
+  }
+  std::sort(scored.begin(), scored.end());
+
   std::size_t choice = 0;
   // Persistent mapping error: with probability error_rate the key is stuck
   // on a lower-ranked cluster (geometrically distributed displacement).
@@ -142,15 +154,16 @@ CdnProvider::Mapping CdnProvider::compute_mapping(const net::Prefix& key) const 
   if (hash01(h) < profile_.mapping_error_rate) {
     std::size_t displacement = 1;
     std::uint64_t g = mix(h);
-    while (hash01(g) < 0.5 && displacement + 1 < ranked.size()) {
+    while (hash01(g) < 0.5 && displacement + 1 < scored.size()) {
       ++displacement;
       g = mix(g);
     }
-    choice = std::min(displacement, ranked.size() - 1);
+    choice = std::min(displacement, scored.size() - 1);
   }
-  mapping.persistent = static_cast<std::int16_t>(ranked[choice]);
-  mapping.first = static_cast<std::uint16_t>(ranked[0]);
-  mapping.second = static_cast<std::uint16_t>(ranked.size() > 1 ? ranked[1] : ranked[0]);
+  mapping.persistent = static_cast<std::int16_t>(scored[choice].second);
+  mapping.first = static_cast<std::uint16_t>(scored[0].second);
+  mapping.second =
+      static_cast<std::uint16_t>(scored.size() > 1 ? scored[1].second : scored[0].second);
   return mapping;
 }
 

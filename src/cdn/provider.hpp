@@ -113,17 +113,19 @@ class CdnProvider {
   /// Ranks the clusters for `key` and derives its Mapping.
   [[nodiscard]] Mapping compute_mapping(const net::Prefix& key) const;
 
-  /// CDN-internal latency estimate from a subnet location to a cluster:
-  /// geography distorted by persistent noise. Ignores routing inflation —
-  /// the gap between this estimate and real routed RTT is one of the two
-  /// valley sources.
-  [[nodiscard]] double estimate_ms(const topology::GeoPoint& subnet_location,
-                                   std::size_t cluster_index,
-                                   const net::Prefix& key) const;
+  /// The coverage draw: whether the CDN measured `key`, given the kind of
+  /// space it is and the geographic delay to the nearest cluster.
+  [[nodiscard]] bool covered(const net::Prefix& key, bool eyeball, double nearest_ms) const;
 
-  /// Clusters ranked by estimate for this key (mapped subnets only).
-  [[nodiscard]] std::vector<std::size_t> ranked_clusters(
-      const topology::GeoPoint& subnet_location, const net::Prefix& key) const;
+  /// CDN-internal latency estimate to cluster `cluster_index` from a subnet
+  /// `geo_ms` of propagation away, whose representative address is
+  /// `representative` (nullptr when it has no measurable endpoint or the
+  /// profile ignores routing): geography, blended with the routed RTT,
+  /// distorted by persistent noise. The gap between geography and the
+  /// routed RTT is one of the two valley sources.
+  [[nodiscard]] double estimate_ms(double geo_ms, std::size_t cluster_index,
+                                   const net::Prefix& key,
+                                   const topology::Host* representative) const;
 
   std::vector<net::Ipv4Addr> replica_set_from(const CdnCluster& cluster,
                                               std::uint64_t rotation) const;

@@ -76,11 +76,12 @@ const std::vector<std::size_t>& AsGraph::peer_links(std::size_t v) const {
   return peer_links_.at(v);
 }
 
-std::vector<std::size_t> AsGraph::links_between(std::size_t a, std::size_t b) const {
+std::span<const std::size_t> AsGraph::links_between(std::size_t a, std::size_t b) const {
   const std::uint64_t key =
       a < b ? (std::uint64_t{a} << 32) | b : (std::uint64_t{b} << 32) | a;
   auto it = by_pair_.find(key);
-  return it == by_pair_.end() ? std::vector<std::size_t>{} : it->second;
+  if (it == by_pair_.end()) return {};
+  return it->second;
 }
 
 std::size_t AsGraph::other_end(std::size_t l, std::size_t v) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,8 +91,11 @@ class AsGraph {
 
   /// All link indices directly connecting nodes `a` and `b` (either
   /// orientation, any kind). Real AS pairs interconnect at many locations;
-  /// path stitching picks among these hot-potato style.
-  [[nodiscard]] std::vector<std::size_t> links_between(std::size_t a, std::size_t b) const;
+  /// path stitching picks among these hot-potato style. A view into the
+  /// graph's pair index: an add_link may move it, so read it in place and
+  /// never keep it across graph construction.
+  [[nodiscard]] std::span<const std::size_t> links_between(std::size_t a,
+                                                          std::size_t b) const;
 
  private:
   std::vector<AsNode> nodes_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <string>
 
 #include "net/error.hpp"
 
@@ -20,7 +22,17 @@ World::World(AsGraph graph, WorldConfig config)
       config_(config),
       routing_(&graph_),
       alloc_rng_(config.seed),
-      next_host_slot_(graph_.node_count(), kRouterSlots) {}
+      next_host_slot_(graph_.node_count(), kRouterSlots) {
+  pop_delay_offset_.reserve(graph_.node_count());
+  for (const AsNode& node : graph_.nodes()) {
+    pop_delay_offset_.push_back(pop_delay_ms_.size());
+    for (const Pop& from : node.pops) {
+      for (const Pop& to : node.pops) {
+        pop_delay_ms_.push_back(propagation_ms(from.location, to.location));
+      }
+    }
+  }
+}
 
 net::Prefix World::block_of(std::size_t as_index) const {
   if (as_index >= graph_.node_count()) {
@@ -246,26 +258,29 @@ net::Ipv4Addr World::resolve_anycast(net::Ipv4Addr src, net::Ipv4Addr dst) {
   return anycast_cache_.insert(key, ranked[pick].second);
 }
 
-std::vector<World::PathPoint> World::pop_path(const Host& src, const Host& dst) {
-  std::vector<PathPoint> points;
+template <typename OnPoint>
+double World::walk_path(const Host& src, const Host& dst, OnPoint&& on_point) {
   double total = src.access_ms;
   std::size_t current_as = src.as_index;
   int current_pop = src.pop_index;
-  GeoPoint current_loc =
-      graph_.node(current_as).pops[static_cast<std::size_t>(current_pop)].location;
-  points.push_back({current_as, current_pop, total});
+  on_point(current_as, current_pop, total);
 
   if (src.as_index != dst.as_index) {
-    const auto as_path = routing_.as_path(src.as_index, dst.as_index);
-    if (as_path.empty()) {
+    const std::span<const RouteEntry> table = routing_.table_for(dst.as_index);
+    if (table[src.as_index].cls == RouteClass::kNone) {
       throw net::Error("no route from " + graph_.node(src.as_index).asn.to_string() +
                        " to " + graph_.node(dst.as_index).asn.to_string());
     }
-    for (std::size_t k = 0; k + 1 < as_path.size(); ++k) {
-      const std::size_t next_as = as_path[k + 1];
+    for (std::size_t steps = 1; current_as != dst.as_index; ++steps) {
+      if (steps >= table.size()) {
+        throw net::Error("routing loop detected toward node " +
+                         std::to_string(dst.as_index));
+      }
+      const std::size_t next_as = table[current_as].next_node;
       // Hot-potato link selection among the parallel interconnects of this
       // AS pair: hand the traffic off at the cheapest point from here.
-      const auto candidates = graph_.links_between(current_as, next_as);
+      const std::span<const std::size_t> candidates =
+          graph_.links_between(current_as, next_as);
       if (candidates.empty()) {
         throw net::Error("routing step without a connecting link");
       }
@@ -273,11 +288,8 @@ std::vector<World::PathPoint> World::pop_path(const Host& src, const Host& dst) 
       double best_cost = std::numeric_limits<double>::infinity();
       for (std::size_t l : candidates) {
         const AsLink& link = graph_.link(l);
-        const bool forward = link.a == current_as;
-        const int exit_pop = forward ? link.pop_a : link.pop_b;
-        const GeoPoint& exit_loc =
-            graph_.node(current_as).pops[static_cast<std::size_t>(exit_pop)].location;
-        const double cost = propagation_ms(current_loc, exit_loc) + link.latency_ms;
+        const int exit_pop = link.a == current_as ? link.pop_a : link.pop_b;
+        const double cost = pop_delay_ms(current_as, current_pop, exit_pop) + link.latency_ms;
         if (cost < best_cost) {
           best_cost = cost;
           best_link = l;
@@ -288,30 +300,38 @@ std::vector<World::PathPoint> World::pop_path(const Host& src, const Host& dst) 
       const int exit_pop = forward ? link.pop_a : link.pop_b;
       const int entry_pop = forward ? link.pop_b : link.pop_a;
       // Intra-AS carriage from the current PoP to the egress PoP.
-      const GeoPoint exit_loc =
-          graph_.node(current_as).pops[static_cast<std::size_t>(exit_pop)].location;
-      total += propagation_ms(current_loc, exit_loc) + config_.intra_as_hop_ms;
-      if (exit_pop != current_pop) {
-        points.push_back({current_as, exit_pop, total});
-      }
+      total += pop_delay_ms(current_as, current_pop, exit_pop) + config_.intra_as_hop_ms;
+      if (exit_pop != current_pop) on_point(current_as, exit_pop, total);
       // Cross the inter-AS link.
       total += link.latency_ms;
       current_as = next_as;
       current_pop = entry_pop;
-      current_loc =
-          graph_.node(current_as).pops[static_cast<std::size_t>(current_pop)].location;
-      points.push_back({current_as, current_pop, total});
+      on_point(current_as, current_pop, total);
     }
   }
 
-  // Final intra-AS leg to the destination host.
+  // Final intra-AS leg to the destination host's own location.
+  const GeoPoint& current_loc =
+      graph_.node(current_as).pops[static_cast<std::size_t>(current_pop)].location;
   total += propagation_ms(current_loc, dst.location) + config_.intra_as_hop_ms +
            dst.access_ms;
-  points.push_back({dst.as_index, current_pop, total});
+  on_point(dst.as_index, current_pop, total);
+  return total;
+}
+
+std::vector<World::PathPoint> World::pop_path(const Host& src, const Host& dst) {
+  std::vector<PathPoint> points;
+  walk_path(src, dst, [&points](std::size_t as_index, int pop_index, double ms) {
+    points.push_back({as_index, pop_index, ms});
+  });
   return points;
 }
 
-Host World::endpoint_of(net::Ipv4Addr ip) const {
+double World::path_one_way_ms(const Host& src, const Host& dst) {
+  return walk_path(src, dst, [](std::size_t, int, double) {});
+}
+
+std::optional<Host> World::endpoint_of(net::Ipv4Addr ip) const {
   if (auto it = hosts_.find(ip); it != hosts_.end()) return it->second;
   const auto index = as_index_of(ip);
   if (index && subnet_kind(net::Prefix(ip, 24)) == SubnetKind::kRouter) {
@@ -326,7 +346,7 @@ Host World::endpoint_of(net::Ipv4Addr ip) const {
     h.kind = HostKind::kServer;
     return h;
   }
-  throw net::InvalidArgument("no measurable endpoint at " + ip.to_string());
+  return std::nullopt;
 }
 
 double World::one_way_base_ms(net::Ipv4Addr src, net::Ipv4Addr dst) {
@@ -334,10 +354,15 @@ double World::one_way_base_ms(net::Ipv4Addr src, net::Ipv4Addr dst) {
   const std::uint64_t key =
       (std::uint64_t{src.to_uint()} << 32) | real_dst.to_uint();
   if (const double* cached = one_way_cache_.lookup(key)) return *cached;
+  const auto measurable = [this](net::Ipv4Addr ip) {
+    auto endpoint = endpoint_of(ip);
+    if (!endpoint) throw net::InvalidArgument("no measurable endpoint at " + ip.to_string());
+    return *endpoint;
+  };
   // The path is deterministic, so concurrent misses on the same pair agree
   // on the value.
-  const auto points = pop_path(endpoint_of(src), endpoint_of(real_dst));
-  const double ms = points.back().cumulative_one_way_ms;
+  const Host from = measurable(src);
+  const double ms = path_one_way_ms(from, measurable(real_dst));
   one_way_cache_.insert(key, ms);
   return ms;
 }

@@ -202,6 +202,19 @@ class World {
   /// 2x one-way.
   double rtt_base_ms(net::Ipv4Addr src, net::Ipv4Addr dst);
 
+  /// The measurable endpoint at `ip`: a registered host, or a synthetic
+  /// endpoint at a router's PoP (routers answer pings). nullopt for anything
+  /// else, such as unallocated host space or an anycast address.
+  [[nodiscard]] std::optional<Host> endpoint_of(net::Ipv4Addr ip) const;
+
+  /// The base one-way delay between two endpoints (see endpoint_of), walked
+  /// afresh: no memo is read or written, and nothing is allocated once
+  /// `dst`'s routing table exists. Bit for bit the value one_way_base_ms
+  /// memoizes for their addresses when `dst` is not anycast. For callers
+  /// that memoize the result themselves, such as CDN mapping probes. Throws
+  /// net::Error for unreachable pairs.
+  double path_one_way_ms(const Host& src, const Host& dst);
+
   /// One measured RTT sample: base with lognormal noise and rare spikes.
   double rtt_sample_ms(net::Ipv4Addr src, net::Ipv4Addr dst, net::Rng& rng);
 
@@ -255,17 +268,34 @@ class World {
   /// VIP)); identity otherwise.
   net::Ipv4Addr resolve_anycast(net::Ipv4Addr src, net::Ipv4Addr dst);
 
-  /// Resolves an address to a measurable endpoint: a registered host, or a
-  /// synthetic endpoint at a router's PoP. Throws for unknown addresses.
-  [[nodiscard]] Host endpoint_of(net::Ipv4Addr ip) const;
+  /// The valley-free walk from src host to dst host: BGP next hops toward
+  /// dst, hot-potato interconnect choice at each AS boundary. Calls
+  /// `on_point(as_index, pop_index, cumulative_one_way_ms)` at every PoP
+  /// waypoint and returns the one-way total. Throws net::Error when dst is
+  /// unreachable.
+  template <typename OnPoint>
+  double walk_path(const Host& src, const Host& dst, OnPoint&& on_point);
 
   /// PoP-level waypoints and cumulative delays from src host to dst host.
   std::vector<PathPoint> pop_path(const Host& src, const Host& dst);
+
+  /// propagation_ms from PoP `from` to PoP `to` of AS node `as_index`.
+  [[nodiscard]] double pop_delay_ms(std::size_t as_index, int from, int to) const {
+    const std::size_t pops = graph_.nodes()[as_index].pops.size();
+    return pop_delay_ms_[pop_delay_offset_[as_index] +
+                         static_cast<std::size_t>(from) * pops + static_cast<std::size_t>(to)];
+  }
 
   AsGraph graph_;
   WorldConfig config_;
   BgpRouting routing_;
   net::Rng alloc_rng_;
+  /// Per AS node, the pops x pops matrix of propagation_ms(pops[from],
+  /// pops[to]) in that argument order (the haversine is not bit-symmetric),
+  /// row-major from pop_delay_offset_[as]. Built with the World and never
+  /// changed: every intra-AS leg of a path walk reads it.
+  std::vector<double> pop_delay_ms_;
+  std::vector<std::size_t> pop_delay_offset_;
   std::unordered_map<net::Ipv4Addr, Host> hosts_;
   std::unordered_map<net::Ipv4Addr, std::vector<net::Ipv4Addr>> anycast_;
   std::vector<int> next_host_slot_;  // per AS node: next third octet (from 32)

@@ -6,7 +6,9 @@
 // a pinned budget, a warm traceroute allocates only its hop vector, a warm
 // trial stays within a pinned budget, a warm RTT toward an anycast VIP
 // allocates nothing, a training window's add() never allocates, and neither
-// does a decision among tied subnets.
+// does a decision among tied subnets. A CDN ranking a cold mapping key, the
+// routed delay it measures, and a query from unallocated space stay within
+// a few allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <optional>
 #include <string>
@@ -282,6 +285,120 @@ TEST(AllocBudgetTest, WarmTrialStaysWithinBudget) {
   EXPECT_LE(n, kTrialBudget);
   std::cout << "allocations: warm trial " << n << " (" << warm.health.queries
             << " queries, " << warm.hops.size() << " hops)\n";
+}
+
+/// Providers sharing `testbed`'s deployments but with empty mapping
+/// tables, the anycast one (which never consults its mapping) left out.
+std::vector<std::unique_ptr<cdn::CdnProvider>> fresh_unicast_providers(
+    measure::Testbed& testbed) {
+  std::vector<std::unique_ptr<cdn::CdnProvider>> out;
+  for (std::size_t p = 0; p < testbed.provider_count(); ++p) {
+    const cdn::CdnProvider& deployed = testbed.provider(p);
+    if (deployed.profile().anycast) continue;
+    out.push_back(std::make_unique<cdn::CdnProvider>(deployed.profile(), &testbed.world(),
+                                                     deployed.as_index(),
+                                                     deployed.clusters(), deployed.vips()));
+  }
+  return out;
+}
+
+/// Computes every destination's BGP table, so a test counts only what a
+/// mapping adds on top of routing state a campaign builds anyway.
+void warm_routing(topology::World& world) {
+  for (std::size_t v = 0; v < world.graph().node_count(); ++v) {
+    (void)world.routing().table_for(v);
+  }
+}
+
+TEST(AllocBudgetTest, ColdMappingKeyStaysWithinBudget) {
+  measure::Testbed testbed(small_testbed());
+  topology::World& world = testbed.world();
+  warm_routing(world);
+  std::vector<net::Prefix> plan;
+  for (std::size_t v = 0; v < world.graph().node_count(); ++v) {
+    const std::uint32_t block = world.block_of(v).network().to_uint();
+    for (std::uint32_t third = 0; third < 256; ++third) {
+      const net::Prefix subnet(net::Ipv4Addr(block | (third << 8)), 24);
+      if (world.is_allocated(subnet)) plan.push_back(subnet);
+    }
+  }
+  // Pinned from the measured count: the ranking's one score vector, the
+  // mapping-table node (plus a bucket array when a shard rehashes) and the
+  // returned replica set. The routed RTT per cluster allocates nothing.
+  constexpr std::uint64_t kColdKeyBudget = 5;
+  std::uint64_t worst = 0;
+  std::uint64_t total = 0;
+  std::size_t keys = 0;
+  for (const auto& provider : fresh_unicast_providers(testbed)) {
+    for (const net::Prefix& subnet : plan) {
+      const std::uint64_t n =
+          allocations_in([&] { (void)provider->select_replicas(subnet, 1); });
+      worst = std::max(worst, n);
+      total += n;
+      ++keys;
+    }
+    EXPECT_GT(provider->mapping_table_size(), 0u);
+  }
+  ASSERT_GT(keys, 100u);
+  EXPECT_LE(worst, kColdKeyBudget);
+  std::cout << "allocations: cold mapping key " << static_cast<double>(total) / keys
+            << " mean, " << worst << " worst over " << keys << " keys\n";
+}
+
+TEST(AllocBudgetTest, MemoFreeRoutedDelayAllocatesNothing) {
+  measure::Testbed testbed(small_testbed());
+  topology::World& world = testbed.world();
+  const auto client = world.endpoint_of(testbed.clients()[0]);
+  ASSERT_TRUE(client.has_value());
+  std::size_t pairs = 0;
+  for (std::size_t p = 0; p < testbed.provider_count(); ++p) {
+    for (const cdn::CdnCluster& cluster : testbed.provider(p).clusters()) {
+      const auto replica = world.endpoint_of(cluster.replicas.front());
+      ASSERT_TRUE(replica.has_value());
+      (void)world.routing().table_for(client->as_index);
+      double ms = 0.0;
+      EXPECT_EQ(allocations_in([&] { ms = world.path_one_way_ms(*replica, *client); }), 0u)
+          << "from " << replica->address.to_string();
+      EXPECT_GT(ms, 0.0);
+      ++pairs;
+    }
+  }
+  ASSERT_GT(pairs, 0u);
+}
+
+TEST(AllocBudgetTest, UnallocatedSubnetQueryStaysWithinBudget) {
+  measure::Testbed testbed(small_testbed());
+  topology::World& world = testbed.world();
+  warm_routing(world);
+  // The last host /24 of each AS block: inside the plan, so it geolocates
+  // and is often mapped, but no host lives there to ping.
+  std::vector<net::Prefix> unallocated;
+  for (std::size_t v = 0; v < world.graph().node_count(); ++v) {
+    const net::Prefix subnet(
+        net::Ipv4Addr(world.block_of(v).network().to_uint() | (255u << 8)), 24);
+    ASSERT_FALSE(world.is_allocated(subnet));
+    unallocated.push_back(subnet);
+  }
+  // Pinned from the measured count: the ranking's score vector and the
+  // returned replica set; such keys are never stored, so every query ranks.
+  constexpr std::uint64_t kUnallocatedBudget = 5;
+  std::uint64_t worst = 0;
+  std::size_t mapped = 0;
+  for (const auto& provider : fresh_unicast_providers(testbed)) {
+    for (const net::Prefix& subnet : unallocated) {
+      if (provider->is_mapped(subnet)) ++mapped;
+      for (const std::uint64_t nonce : {1u, 2u}) {
+        worst = std::max(worst, allocations_in([&] {
+                           (void)provider->select_replicas(subnet, nonce);
+                         }));
+      }
+    }
+    EXPECT_EQ(provider->mapping_table_size(), 0u);
+  }
+  ASSERT_GT(mapped, 10u) << "too few mapped keys to exercise the ranking";
+  EXPECT_LE(worst, kUnallocatedBudget);
+  std::cout << "allocations: unallocated /24 query " << worst << " worst (" << mapped
+            << " mapped keys)\n";
 }
 
 TEST(AllocBudgetTest, ChoosingAmongTiedSubnetsDoesNotAllocate) {
