@@ -5,9 +5,14 @@
 //   1. Hedged upstream exchanges (dns::HedgedTransport). The same faulty
 //      campaign — injected upstream timeouts plus a mid-campaign
 //      authoritative outage — runs twice: once with the hedge threshold
-//      pinned beyond reach (the un-hedged arm: every slow primary is paid
-//      in full) and once with a working threshold. GATE: the hedged arm's
-//      p99 effective exchange latency must beat the un-hedged arm's.
+//      pinned beyond reach (the un-hedged arm: every failed primary is a
+//      failed upstream exchange) and once with a working threshold. A trial
+//      records replica RTTs and download times, never the modelled upstream
+//      latency, so the effect a trial can observe is rescue: a hedge that
+//      answers where the primary failed. GATES: the hedged arm's upstream
+//      failure share (PublicResolver failures / upstream queries) is at
+//      most half the un-hedged arm's, and its share of ok trials is at
+//      least kOkShareGainFloor higher.
 //
 //   2. CoDel admission (cdn::CodelQueue) under 2x offered load on the
 //      virtual queue. The no-admission arm books every arrival and its
@@ -45,6 +50,12 @@ constexpr double kHedgeThresholdMs = 30.0;
 /// Pinned far past any modelled latency: the hedge never fires, making the
 /// same transport the un-hedged control arm.
 constexpr double kUnhedgedThresholdMs = 1e8;
+/// Gate floors for the hedging arms: the hedged failure share may be at
+/// most this fraction of the un-hedged one (measured 0.27) ...
+constexpr double kFailureShareRatioCeiling = 0.5;
+/// ... and the ok-trial share must rise by at least this much (measured
+/// +0.161 at default scale).
+constexpr double kOkShareGainFloor = 0.10;
 constexpr double kCodelSojournBoundMs = 150.0;
 constexpr double kNaiveSojournFloorMs = 1000.0;
 
@@ -60,14 +71,16 @@ measure::TestbedConfig arm_config(int clients, double hedge_threshold_ms,
   if (dark_authoritative != net::Ipv4Addr()) {
     config.fault_profile.outages.push_back({dark_authoritative, 1.0, 4.0});
   }
-  config.hedge.enabled = true;
-  config.hedge.threshold_ms = hedge_threshold_ms;
+  config.hedge_threshold_ms = hedge_threshold_ms;
   return config;
 }
 
 struct ArmResult {
   std::string dataset_bytes;
-  double p99_ms = 0.0;
+  /// Resolver upstream exchanges that failed after hedging, over all.
+  double upstream_failure_share = 0.0;
+  /// Trials with outcome ok, over all trials.
+  double ok_trial_share = 0.0;
   std::uint64_t exchanges = 0;
   std::uint64_t fired = 0;
   std::uint64_t wins = 0;
@@ -89,8 +102,13 @@ ArmResult run_arm(const measure::TestbedConfig& config, int trials, int gwtw_k,
   std::ostringstream dataset;
   measure::save_dataset(dataset, result.records);
   result.dataset_bytes = dataset.str();
+  const auto& resolver = testbed.resolver();
+  result.upstream_failure_share = static_cast<double>(resolver.upstream_failures()) /
+                                  static_cast<double>(resolver.upstream_queries());
+  const auto health = measure::aggregate_health(result.records);
+  result.ok_trial_share = static_cast<double>(health.ok_trials) /
+                          static_cast<double>(result.records.size());
   const dns::HedgedTransport* hedged = testbed.hedged_upstream();
-  result.p99_ms = hedged->latency().quantile(99.0);
   result.exchanges = hedged->exchanges();
   result.fired = hedged->hedges_fired();
   result.wins = hedged->hedge_wins();
@@ -125,7 +143,13 @@ int main() {
   const ArmResult hedged_mt =
       run_arm(arm_config(clients, kHedgeThresholdMs, dark), trials, 2, 8);
 
-  const bool hedge_gate = hedged.p99_ms < unhedged.p99_ms;
+  const bool failure_gate =
+      unhedged.upstream_failure_share > 0.0 &&
+      hedged.upstream_failure_share <=
+          kFailureShareRatioCeiling * unhedged.upstream_failure_share;
+  const bool ok_gate =
+      hedged.ok_trial_share >= unhedged.ok_trial_share + kOkShareGainFloor;
+  const bool hedge_gate = failure_gate && ok_gate;
   const bool deterministic = hedged.dataset_bytes == hedged_mt.dataset_bytes &&
                              hedged.exchanges == hedged_mt.exchanges &&
                              hedged.fired == hedged_mt.fired &&
@@ -134,15 +158,20 @@ int main() {
                              hedged.rescued == hedged_mt.rescued &&
                              hedged.both_failed == hedged_mt.both_failed;
 
-  std::cout << "hedging arm-to-arm (effective upstream exchange latency):\n"
-            << "  un-hedged p99: " << unhedged.p99_ms << " ms over "
-            << unhedged.exchanges << " exchanges\n"
-            << "  hedged    p99: " << hedged.p99_ms << " ms over " << hedged.exchanges
-            << " exchanges (" << hedged.fired << " hedges: " << hedged.wins
-            << " wins, " << hedged.losses << " losses, " << hedged.rescued
-            << " rescued, " << hedged.both_failed << " dual failures)\n"
-            << "  GATE hedged p99 < un-hedged p99: "
-            << (hedge_gate ? "PASS" : "FAIL") << "\n"
+  std::cout << "hedging arm-to-arm (upstream failure share, ok-trial share):\n"
+            << "  un-hedged: " << unhedged.upstream_failure_share * 100.0
+            << "% of upstream exchanges failed, " << unhedged.ok_trial_share * 100.0
+            << "% of trials ok (" << unhedged.exchanges << " exchanges)\n"
+            << "  hedged:    " << hedged.upstream_failure_share * 100.0
+            << "% of upstream exchanges failed, " << hedged.ok_trial_share * 100.0
+            << "% of trials ok (" << hedged.exchanges << " exchanges, " << hedged.fired
+            << " hedges: " << hedged.wins << " wins, " << hedged.losses << " losses, "
+            << hedged.rescued << " rescued, " << hedged.both_failed
+            << " dual failures)\n"
+            << "  GATE hedged failure share <= " << kFailureShareRatioCeiling
+            << " x un-hedged: " << (failure_gate ? "PASS" : "FAIL") << "\n"
+            << "  GATE hedged ok-trial share >= un-hedged + " << kOkShareGainFloor
+            << ": " << (ok_gate ? "PASS" : "FAIL") << "\n"
             << "  serial vs 8 threads byte-identical: "
             << (deterministic ? "PASS" : "FAIL") << "\n\n";
 
@@ -203,8 +232,10 @@ int main() {
   report.set_integer("clients", clients);
   report.set_integer("trials_per_pair", trials);
   report.set_number("wall_seconds", seconds);
-  report.set_number("unhedged_p99_ms", unhedged.p99_ms);
-  report.set_number("hedged_p99_ms", hedged.p99_ms);
+  report.set_number("unhedged_upstream_failure_share", unhedged.upstream_failure_share);
+  report.set_number("hedged_upstream_failure_share", hedged.upstream_failure_share);
+  report.set_number("unhedged_ok_trial_share", unhedged.ok_trial_share);
+  report.set_number("hedged_ok_trial_share", hedged.ok_trial_share);
   report.set_integer("hedges_fired", static_cast<std::int64_t>(hedged.fired));
   report.set_integer("hedge_wins", static_cast<std::int64_t>(hedged.wins));
   report.set_integer("hedge_losses", static_cast<std::int64_t>(hedged.losses));

@@ -102,17 +102,7 @@ double parse_fault_prob(const char* value, double fallback, const std::string& k
   return parsed;
 }
 
-namespace {
-
-FaultProfile parse_profile_override(const char* name, FaultProfile base) {
-  if (name == nullptr || name[0] == '\0') return base;
-  return parse_fault_profile(name);
-}
-
-}  // namespace
-
 FaultProfile fault_profile_from_env(FaultProfile base) {
-  base = parse_profile_override(std::getenv("DRONGO_FAULT_PROFILE"), base);
   base.loss_prob = parse_fault_prob(std::getenv("DRONGO_FAULT_LOSS"), base.loss_prob,
                                     "DRONGO_FAULT_LOSS");
   base.timeout_prob = parse_fault_prob(std::getenv("DRONGO_FAULT_TIMEOUT"),

@@ -81,9 +81,9 @@ FaultProfile parse_fault_profile(const std::string& name);
 double parse_fault_prob(const char* value, double fallback, const std::string& knob);
 
 /// Builds a profile from the environment on top of `base`:
-/// DRONGO_FAULT_PROFILE names a base profile (overriding `base`), then
 /// DRONGO_FAULT_LOSS / _TIMEOUT / _SERVFAIL / _REFUSED / _TRUNCATE /
-/// _ECS_STRIP / _SCOPE_ZERO override individual probabilities.
+/// _ECS_STRIP / _SCOPE_ZERO override individual probabilities. No variable
+/// replaces `base` itself: the caller picks it (drongo_sim: --fault-profile).
 FaultProfile fault_profile_from_env(FaultProfile base = {});
 
 /// RAII simulated-clock context for outage windows. The trial runner sets

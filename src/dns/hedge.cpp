@@ -1,10 +1,7 @@
 #include "dns/hedge.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
-#include <limits>
-#include <string>
 
 #include "net/error.hpp"
 #include "net/rng.hpp"
@@ -32,91 +29,33 @@ std::uint64_t exchange_hash(net::Ipv4Addr source, net::Ipv4Addr destination,
   return h;
 }
 
+// The modelled upstream latency: base + U[0, jitter), with a kSlowProb
+// chance of an extra kSlowMs stall (the tail hedging exists to cut). A
+// transport-level failure (timeout/unreachable) costs kTimeoutPenaltyMs —
+// what the caller would have waited before giving up — and is exactly what
+// a hedge can rescue. kSeed selects the latency streams, independent of
+// the fault fabric's seeds.
+constexpr double kBaseMs = 4.0;
+constexpr double kJitterMs = 2.0;
+constexpr double kSlowProb = 0.03;
+constexpr double kSlowMs = 120.0;
+constexpr double kTimeoutPenaltyMs = 250.0;
+constexpr std::uint64_t kSeed = 0x4ED6E;
+
 /// One modelled upstream latency draw: base + jitter, with a tail stall.
-double draw_latency_ms(const HedgeConfig& config, net::Rng& rng) {
-  double ms = config.base_ms + rng.uniform_real(0.0, config.jitter_ms);
-  if (rng.chance(config.slow_prob)) ms += config.slow_ms;
+double draw_latency_ms(net::Rng& rng) {
+  double ms = kBaseMs + rng.uniform_real(0.0, kJitterMs);
+  if (rng.chance(kSlowProb)) ms += kSlowMs;
   return ms;
-}
-
-double parse_env_double(const char* value, double fallback, const std::string& knob,
-                        double lo, double hi, bool lo_exclusive) {
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const std::string v(value);
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(v, &used);
-  } catch (const std::exception&) {
-    used = std::string::npos;
-  }
-  const bool in_range =
-      used == v.size() && (lo_exclusive ? parsed > lo : parsed >= lo) && parsed <= hi;
-  if (!in_range) {
-    throw net::InvalidArgument(knob + " must be a number in " +
-                               (lo_exclusive ? "(" : "[") + std::to_string(lo) + ", " +
-                               std::to_string(hi) + "], got \"" + v + "\"");
-  }
-  return parsed;
-}
-
-std::uint64_t parse_env_count(const char* value, std::uint64_t fallback,
-                              const std::string& knob) {
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const std::string v(value);
-  std::size_t used = 0;
-  long long parsed = 0;
-  try {
-    parsed = std::stoll(v, &used);
-  } catch (const std::exception&) {
-    used = std::string::npos;
-  }
-  if (used != v.size() || parsed < 1) {
-    throw net::InvalidArgument(knob + " must be an integer >= 1, got \"" + v + "\"");
-  }
-  return static_cast<std::uint64_t>(parsed);
-}
-
-bool parse_env_switch(const char* value, bool fallback, const std::string& knob) {
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const std::string v(value);
-  if (v == "0" || v == "false" || v == "off") return false;
-  if (v == "1" || v == "true" || v == "on") return true;
-  throw net::InvalidArgument(knob + " must be 0/false/off or 1/true/on, got \"" + v +
-                             "\"");
 }
 
 }  // namespace
 
-HedgeConfig hedge_config_from_env(HedgeConfig base) {
-  base.enabled =
-      parse_env_switch(std::getenv("DRONGO_HEDGE_ENABLE"), base.enabled,
-                       "DRONGO_HEDGE_ENABLE");
-  base.threshold_ms =
-      parse_env_double(std::getenv("DRONGO_HEDGE_THRESHOLD_MS"), base.threshold_ms,
-                       "DRONGO_HEDGE_THRESHOLD_MS", 0.0, 1e9, /*lo_exclusive=*/false);
-  base.quantile = parse_env_double(std::getenv("DRONGO_HEDGE_QUANTILE"), base.quantile,
-                                   "DRONGO_HEDGE_QUANTILE", 0.0, 100.0,
-                                   /*lo_exclusive=*/true);
-  base.min_samples = parse_env_count(std::getenv("DRONGO_HEDGE_MIN_SAMPLES"),
-                                     base.min_samples, "DRONGO_HEDGE_MIN_SAMPLES");
-  return base;
-}
-
-HedgedTransport::HedgedTransport(DnsTransport* inner, HedgeConfig config)
-    : inner_(inner), config_(config) {
+HedgedTransport::HedgedTransport(DnsTransport* inner, double threshold_ms)
+    : inner_(inner), threshold_ms_(threshold_ms) {
   if (inner_ == nullptr) throw net::InvalidArgument("null inner DnsTransport");
-  if (config_.threshold_ms < 0.0) {
-    throw net::InvalidArgument("hedge threshold_ms must be >= 0");
-  }
-  if (!(config_.quantile > 0.0) || config_.quantile > 100.0) {
-    throw net::InvalidArgument("hedge quantile must be in (0, 100]");
-  }
-  if (config_.min_samples < 1) {
-    throw net::InvalidArgument("hedge min_samples must be >= 1");
-  }
-  if (config_.slow_prob < 0.0 || config_.slow_prob > 1.0) {
-    throw net::InvalidArgument("hedge slow_prob must be in [0, 1]");
+  if (!(threshold_ms_ > 0.0)) {
+    throw net::InvalidArgument("hedge threshold_ms must be > 0");
   }
 }
 
@@ -125,23 +64,14 @@ void HedgedTransport::tally(std::atomic<std::uint64_t>& counter, const char* nam
   if (registry_ != nullptr) registry_->add(name);
 }
 
-double HedgedTransport::current_threshold_ms() const {
-  if (config_.threshold_ms > 0.0) return config_.threshold_ms;
-  if (latency_.count() < config_.min_samples) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return std::max(config_.min_threshold_ms, latency_.quantile(config_.quantile));
-}
-
 std::vector<std::uint8_t> HedgedTransport::exchange(net::Ipv4Addr source,
                                                     net::Ipv4Addr destination,
                                                     std::span<const std::uint8_t> query) {
-  if (!config_.enabled) return inner_->exchange(source, destination, query);
   tally(exchanges_, "dns.resolver.hedge.exchanges");
 
   const std::uint64_t selector = exchange_hash(source, destination, query);
-  net::Rng primary_rng = net::Rng::derive(config_.seed, selector, 0);
-  double primary_ms = draw_latency_ms(config_, primary_rng);
+  net::Rng primary_rng = net::Rng::derive(kSeed, selector, 0);
+  double primary_ms = draw_latency_ms(primary_rng);
 
   std::vector<std::uint8_t> primary_reply;
   std::exception_ptr primary_error;
@@ -151,18 +81,16 @@ std::vector<std::uint8_t> HedgedTransport::exchange(net::Ipv4Addr source,
     // The caller would have sat out its full timeout on this attempt —
     // exactly the latency a hedge exists to cut short.
     primary_error = std::current_exception();
-    primary_ms = config_.timeout_penalty_ms;
+    primary_ms = kTimeoutPenaltyMs;
   }
 
   const auto settle = [this](double effective_ms) {
-    latency_.observe(effective_ms);
     if (registry_ != nullptr) {
       registry_->observe_ms("dns.resolver.hedge.latency_ms", effective_ms);
     }
   };
 
-  const double threshold_ms = current_threshold_ms();
-  if (primary_ms <= threshold_ms || query.size() < 2) {
+  if (primary_ms <= threshold_ms_ || query.size() < 2) {
     settle(primary_ms);
     if (primary_error) std::rethrow_exception(primary_error);
     return primary_reply;
@@ -176,8 +104,8 @@ std::vector<std::uint8_t> HedgedTransport::exchange(net::Ipv4Addr source,
   std::vector<std::uint8_t> hedged_query(query.begin(), query.end());
   hedged_query[0] ^= 0xA5;
   hedged_query[1] ^= 0x3C;
-  net::Rng hedge_rng = net::Rng::derive(config_.seed, selector, 1);
-  double hedge_ms = threshold_ms + draw_latency_ms(config_, hedge_rng);
+  net::Rng hedge_rng = net::Rng::derive(kSeed, selector, 1);
+  double hedge_ms = threshold_ms_ + draw_latency_ms(hedge_rng);
 
   std::vector<std::uint8_t> hedge_reply;
   bool hedge_failed = false;
@@ -185,7 +113,7 @@ std::vector<std::uint8_t> HedgedTransport::exchange(net::Ipv4Addr source,
     hedge_reply = inner_->exchange(source, destination, hedged_query);
   } catch (const net::TransientError&) {
     hedge_failed = true;
-    hedge_ms = threshold_ms + config_.timeout_penalty_ms;
+    hedge_ms = threshold_ms_ + kTimeoutPenaltyMs;
   }
 
   const bool primary_failed = primary_error != nullptr;

@@ -1,101 +1,51 @@
 // Hedged DNS exchanges: a second request once the first looks slow.
 //
 // The tail-latency playbook ("The Tail at Scale") for a resolver talking to
-// flaky upstreams: once a query has been in flight longer than a rolling
-// p95 of past exchanges, issue one duplicate, keep whichever answer lands
-// first, and abandon the loser. HedgedTransport decorates any DnsTransport
-// with exactly that policy. The simulation's transports complete
-// synchronously, so "in flight longer than" is judged against a modelled
-// per-exchange upstream latency drawn from a derived RNG stream — the same
-// trick the fault fabric uses, which keeps every hedging decision a pure
-// function of (seed, exchange bytes) and campaigns byte-identical at any
-// thread count when the threshold is pinned.
+// flaky upstreams: once a query has been in flight longer than a pinned
+// threshold, issue one duplicate, keep whichever answer lands first, and
+// abandon the loser. HedgedTransport decorates any DnsTransport with
+// exactly that policy. The simulation's transports complete synchronously,
+// so "in flight longer than" is judged against a modelled per-exchange
+// upstream latency drawn from a derived RNG stream — the same trick the
+// fault fabric uses, which keeps every hedging decision a pure function of
+// (exchange bytes) and campaigns byte-identical at any thread count.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dns/server.hpp"
-#include "net/quantile.hpp"
 #include "obs/metrics.hpp"
 
 namespace drongo::dns {
 
-/// Policy and latency model for a HedgedTransport.
-struct HedgeConfig {
-  /// Master switch; disabled decorators pass exchanges straight through
-  /// (no latency model, no telemetry — byte-for-byte the undecorated path).
-  bool enabled = false;
-
-  /// Pinned hedge threshold in simulated ms. When > 0, the hedge fires
-  /// exactly when the primary's modelled latency exceeds this value — a
-  /// pure per-exchange function, so results are byte-identical for any
-  /// thread count. When 0, the threshold adapts: the rolling `quantile` of
-  /// all effective latencies seen so far (order-dependent during warm-up,
-  /// so use the pinned mode where cross-thread determinism is gated).
-  double threshold_ms = 0.0;
-  /// Percentile used in adaptive mode (paper convention: hedge past p95).
-  double quantile = 95.0;
-  /// Adaptive mode never hedges before this many samples are in.
-  std::uint64_t min_samples = 50;
-  /// Adaptive-mode floor: the threshold never drops below this.
-  double min_threshold_ms = 1.0;
-
-  // Modelled upstream latency: base + U[0, jitter), with a `slow_prob`
-  // chance of an extra `slow_ms` stall (the tail hedging exists to cut).
-  // A transport-level failure (timeout/unreachable) costs
-  // `timeout_penalty_ms` — what the caller would have waited before giving
-  // up — and is exactly what a hedge can rescue.
-  double base_ms = 4.0;
-  double jitter_ms = 2.0;
-  double slow_prob = 0.03;
-  double slow_ms = 120.0;
-  double timeout_penalty_ms = 250.0;
-
-  /// Stream seed for the latency draws (independent of fault seeds).
-  std::uint64_t seed = 0x4ED6E;
-};
-
-/// Builds a HedgeConfig from the environment on top of `base`:
-/// DRONGO_HEDGE_ENABLE (0/1), DRONGO_HEDGE_THRESHOLD_MS (>= 0),
-/// DRONGO_HEDGE_QUANTILE ((0, 100]), DRONGO_HEDGE_MIN_SAMPLES (>= 1).
-/// Malformed values throw net::InvalidArgument loudly — a typo in a batch
-/// job must not silently run an unhedged (or differently hedged) campaign.
-HedgeConfig hedge_config_from_env(HedgeConfig base = {});
-
 /// Decorates a DnsTransport with hedged exchanges.
 ///
-/// Each exchange models a primary latency from a stream derived from
-/// (seed, hash of the exchange bytes). If that latency exceeds the hedge
-/// threshold, a duplicate query is sent with a rewritten id — so the inner
-/// fault fabric, which hashes the bytes, gives the hedge an independent
-/// fate — and the faster of the two answers wins. The losing exchange is
-/// abandoned (its answer discarded, its error swallowed when the winner
-/// succeeded), and a winning hedge's response id is patched back so the
-/// caller's id validation still matches what it sent.
+/// Each exchange models a primary latency from a stream derived from a
+/// hash of the exchange bytes: a few ms of base plus jitter, with a small
+/// chance of a 120 ms stall; a transport failure (timeout/unreachable)
+/// costs the 250 ms the caller would have waited. If that latency exceeds
+/// the threshold, a duplicate query is sent with a rewritten id — so the
+/// inner fault fabric, which hashes the bytes, gives the hedge an
+/// independent fate — and the faster of the two answers wins. The losing
+/// exchange is abandoned (its answer discarded, its error swallowed when
+/// the winner succeeded), and a winning hedge's response id is patched back
+/// so the caller's id validation still matches what it sent.
 ///
 /// Thread-safety: exchange() may be called concurrently. All tallies are
-/// relaxed atomics and the latency estimator is commutative, so the final
-/// telemetry is interleaving-independent; the hedging *decisions* are too
-/// whenever the threshold is pinned (see HedgeConfig::threshold_ms).
+/// relaxed atomics and every decision is a pure per-exchange function, so
+/// results and telemetry are interleaving-independent.
 class HedgedTransport : public DnsTransport {
  public:
-  /// `inner` is borrowed and must outlive this object.
-  HedgedTransport(DnsTransport* inner, HedgeConfig config);
+  /// `inner` is borrowed and must outlive this object. `threshold_ms` is
+  /// the simulated in-flight time past which the hedge fires; it must be
+  /// > 0 (net::InvalidArgument otherwise, NaN included).
+  HedgedTransport(DnsTransport* inner, double threshold_ms);
 
   std::vector<std::uint8_t> exchange(net::Ipv4Addr source, net::Ipv4Addr destination,
                                      std::span<const std::uint8_t> query) override;
-
-  [[nodiscard]] const HedgeConfig& config() const { return config_; }
-
-  /// The hedge threshold an exchange would face right now, in ms.
-  [[nodiscard]] double current_threshold_ms() const;
-
-  /// Rolling estimator over effective (post-hedge) latencies.
-  [[nodiscard]] const net::StreamingQuantile& latency() const { return latency_; }
 
   // What the hedging layer did, as order-independent sums.
   [[nodiscard]] std::uint64_t exchanges() const { return exchanges_.load(); }
@@ -118,8 +68,7 @@ class HedgedTransport : public DnsTransport {
   void tally(std::atomic<std::uint64_t>& counter, const char* name);
 
   DnsTransport* inner_;
-  HedgeConfig config_;
-  net::StreamingQuantile latency_;
+  double threshold_ms_;
 
   std::atomic<std::uint64_t> exchanges_{0};
   std::atomic<std::uint64_t> fired_{0};

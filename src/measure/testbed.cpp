@@ -92,9 +92,9 @@ Testbed::Testbed(TestbedConfig config)
   // through the same fault fabric (with fresh fault draws, since its bytes
   // differ), exactly the path a real second datagram would take.
   dns::DnsTransport* upstream = resolver_faults_.get();
-  if (config_.hedge.enabled) {
-    hedged_upstream_ =
-        std::make_unique<dns::HedgedTransport>(resolver_faults_.get(), config_.hedge);
+  if (config_.hedge_threshold_ms != 0.0) {
+    hedged_upstream_ = std::make_unique<dns::HedgedTransport>(resolver_faults_.get(),
+                                                              config_.hedge_threshold_ms);
     upstream = hedged_upstream_.get();
   }
   resolver_ = std::make_unique<cdn::PublicResolver>(upstream, resolver_address_,

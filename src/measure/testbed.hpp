@@ -48,12 +48,13 @@ struct TestbedConfig {
   /// resolver every pre-serving experiment assumes, which also keeps
   /// campaign telemetry independent of thread interleaving.
   cdn::ServingConfig serving;
-  /// Hedged exchanges on the resolver's upstream path: when enabled, the
+  /// Hedged exchanges on the resolver's upstream path: when nonzero, the
   /// resolver's transport toward authoritatives is wrapped in a
-  /// dns::HedgedTransport (second exchange past the hedge threshold, first
-  /// answer wins). Defaults off — the un-hedged upstream every existing
-  /// experiment assumes.
-  dns::HedgeConfig hedge;
+  /// dns::HedgedTransport with this threshold in simulated ms (second
+  /// exchange past it, first answer wins; a negative or NaN value throws).
+  /// 0 = no decorator, the un-hedged upstream every existing experiment
+  /// assumes.
+  double hedge_threshold_ms = 0.0;
   /// Wire family every stub announces ECS in (family 1 = the historical
   /// v4-only behaviour; family 2 announces the same subnets through the
   /// sim's v4-in-v6 embedding at ecs_policy.v6_source_length bits). Handed
@@ -105,7 +106,7 @@ class Testbed {
   /// The fault decorator on the resolver's upstream path (-> authoritatives).
   [[nodiscard]] dns::FaultyTransport& resolver_faults() { return *resolver_faults_; }
   /// The hedging decorator on the resolver's upstream path, or nullptr when
-  /// TestbedConfig::hedge is disabled.
+  /// TestbedConfig::hedge_threshold_ms is 0.
   [[nodiscard]] dns::HedgedTransport* hedged_upstream() { return hedged_upstream_.get(); }
 
   /// A stub resolver for one client, pointed at the public resolver through
@@ -143,7 +144,7 @@ class Testbed {
   std::unique_ptr<dns::FaultyTransport> client_faults_;
   std::unique_ptr<dns::FaultyTransport> client_tcp_faults_;
   std::unique_ptr<dns::FaultyTransport> resolver_faults_;
-  /// Hedging decorator over resolver_faults_; non-null only when enabled.
+  /// Hedging decorator over resolver_faults_; non-null only when hedging.
   std::unique_ptr<dns::HedgedTransport> hedged_upstream_;
   std::unique_ptr<cdn::PublicResolver> resolver_;
   std::unique_ptr<cdn::SiteAuthoritative> site_auth_;

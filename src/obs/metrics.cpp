@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "net/error.hpp"
-#include "net/quantile.hpp"
 #include "obs/span.hpp"
 
 namespace drongo::obs {
@@ -22,6 +21,40 @@ std::uint64_t ticks_of_ms(double value_ms) {
   return static_cast<std::uint64_t>(std::llround(value_ms * 1000.0));
 }
 
+/// The percentile, p in [0, 100], of `count` values histogrammed into
+/// `buckets` with ascending upper `bounds`; the one bucket past the last
+/// bound is the +inf overflow. Same rank convention as measure::percentile:
+/// linear interpolation at rank p/100 * (n-1), values assumed evenly spread
+/// within their bucket, and the extreme buckets clamped to the observed
+/// `min`/`max` so an outlier cannot drag the estimate past real data.
+/// Returns 0 when `count` is 0.
+double bucket_percentile(double p, std::uint64_t count,
+                         const std::vector<std::uint64_t>& buckets,
+                         const std::vector<double>& bounds, double min, double max) {
+  if (count == 0) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(count - 1);
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const std::uint64_t in_bucket = buckets[i];
+    if (in_bucket == 0) continue;
+    const double first_rank = static_cast<double>(cumulative);
+    const double last_rank = static_cast<double>(cumulative + in_bucket - 1);
+    if (rank <= last_rank || cumulative + in_bucket == count) {
+      double lo = i == 0 ? min : bounds[i - 1];
+      double hi = i < bounds.size() ? bounds[i] : max;
+      lo = std::max(lo, min);
+      hi = std::min(hi, max);
+      if (hi <= lo || in_bucket == 1) return std::clamp((lo + hi) / 2.0, min, max);
+      const double frac =
+          std::clamp((rank - first_rank) / static_cast<double>(in_bucket - 1), 0.0, 1.0);
+      return lo + (hi - lo) * frac;
+    }
+    cumulative += in_bucket;
+  }
+  return max;
+}
+
 }  // namespace
 
 const std::vector<double>& default_latency_bounds_ms() {
@@ -32,7 +65,7 @@ const std::vector<double>& default_latency_bounds_ms() {
 }
 
 double HistogramSnapshot::percentile(double p) const {
-  return net::bucket_percentile(p, count, buckets, bounds, min, max);
+  return bucket_percentile(p, count, buckets, bounds, min, max);
 }
 
 Registry::Registry() : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}

@@ -58,9 +58,10 @@ struct HistogramSnapshot {
     return count == 0 ? 0.0 : sum_ms() / static_cast<double>(count);
   }
 
-  /// Estimated percentile, p in [0, 100]: net::bucket_percentile over this
-  /// snapshot. Agreement with the exact sorted-sample percentile is bounded
-  /// by one bucket width.
+  /// Estimated percentile, p in [0, 100], interpolated within the bucket
+  /// holding the rank and clamped to the observed min/max; 0 when empty.
+  /// Agreement with the exact sorted-sample percentile is bounded by one
+  /// bucket width.
   [[nodiscard]] double percentile(double p) const;
 };
 

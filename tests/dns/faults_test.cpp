@@ -238,10 +238,8 @@ TEST(FaultProfileTest, ProbabilityKnobParsingIsStrict) {
 }
 
 TEST(FaultProfileTest, EnvKnobsLayerOverBase) {
-  ::setenv("DRONGO_FAULT_PROFILE", "flaky", 1);
   ::setenv("DRONGO_FAULT_LOSS", "0.33", 1);
-  const auto profile = fault_profile_from_env();
-  ::unsetenv("DRONGO_FAULT_PROFILE");
+  const auto profile = fault_profile_from_env(parse_fault_profile("flaky"));
   ::unsetenv("DRONGO_FAULT_LOSS");
   EXPECT_DOUBLE_EQ(profile.servfail_prob, 0.10);  // from the named base
   EXPECT_DOUBLE_EQ(profile.loss_prob, 0.33);      // the env override

@@ -1,15 +1,14 @@
-// HedgedTransport tests: pass-through, firing, rescue, dual failure, id
-// patch-back, determinism, adaptive warm-up, and strict env parsing.
+// HedgedTransport tests: the unhedged testbed, firing, rescue, dual
+// failure, id patch-back, determinism, and argument checks.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "dns/faults.hpp"
 #include "dns/hedge.hpp"
 #include "dns/inmemory.hpp"
 #include "dns/message.hpp"
+#include "measure/testbed.hpp"
 #include "net/error.hpp"
 
 namespace drongo::dns {
@@ -38,14 +37,9 @@ class HedgeFixture : public ::testing::Test {
         .encode();
   }
 
-  /// Enabled config whose pinned threshold every primary draw exceeds
-  /// (base_ms = 4 > 1), so the hedge fires on every exchange.
-  static HedgeConfig always_fires() {
-    HedgeConfig config;
-    config.enabled = true;
-    config.threshold_ms = 1.0;
-    return config;
-  }
+  /// A threshold every primary draw exceeds (the modelled base latency is
+  /// 4 ms), so the hedge fires on every exchange.
+  static constexpr double kAlwaysFires = 1.0;
 
   InMemoryDnsNetwork network;
   FixedServer server;
@@ -54,20 +48,17 @@ class HedgeFixture : public ::testing::Test {
 };
 
 TEST_F(HedgeFixture, DisabledPassesThroughUntouched) {
-  HedgedTransport hedged(&network, HedgeConfig{});
-  const auto wire = query_wire(42);
-  const auto direct = network.exchange(client, server_addr, wire);
-  const auto through = hedged.exchange(client, server_addr, wire);
-  EXPECT_EQ(direct, through);
-  EXPECT_EQ(hedged.exchanges(), 0u);
-  EXPECT_EQ(hedged.latency().count(), 0u);
+  // Threshold 0 is "no hedging": the testbed builds no decorator, so the
+  // resolver talks to the fault fabric directly.
+  measure::TestbedConfig config = measure::TestbedConfig::planetlab();
+  config.client_count = 2;
+  config.site_count = 0;
+  measure::Testbed testbed(config);
+  EXPECT_EQ(testbed.hedged_upstream(), nullptr);
 }
 
 TEST_F(HedgeFixture, UnreachableThresholdNeverFires) {
-  HedgeConfig config;
-  config.enabled = true;
-  config.threshold_ms = 1e9;
-  HedgedTransport hedged(&network, config);
+  HedgedTransport hedged(&network, 1e9);
   for (std::uint16_t id = 0; id < 32; ++id) {
     const auto wire = query_wire(id);
     EXPECT_EQ(hedged.exchange(client, server_addr, wire),
@@ -75,14 +66,13 @@ TEST_F(HedgeFixture, UnreachableThresholdNeverFires) {
   }
   EXPECT_EQ(hedged.exchanges(), 32u);
   EXPECT_EQ(hedged.hedges_fired(), 0u);
-  EXPECT_EQ(hedged.latency().count(), 32u);
 }
 
 TEST_F(HedgeFixture, WinnerIdIsAlwaysTheCallersId) {
   // Threshold 1 ms: every exchange hedges, and the winner alternates between
   // primary and duplicate across ids. Whatever wins, the reply's id bytes
   // must match what the caller sent — a winning hedge is patched back.
-  HedgedTransport hedged(&network, always_fires());
+  HedgedTransport hedged(&network, kAlwaysFires);
   for (std::uint16_t id = 0; id < 64; ++id) {
     const auto wire = query_wire(id);
     const auto reply = hedged.exchange(client, server_addr, wire);
@@ -104,7 +94,7 @@ TEST_F(HedgeFixture, HedgeRescuesFailedPrimaries) {
   FaultProfile profile;
   profile.timeout_prob = 0.5;
   FaultyTransport faulty(&network, 7, profile);
-  HedgedTransport hedged(&faulty, always_fires());
+  HedgedTransport hedged(&faulty, kAlwaysFires);
   int answered = 0;
   int failed = 0;
   for (std::uint16_t id = 0; id < 128; ++id) {
@@ -126,7 +116,7 @@ TEST_F(HedgeFixture, DualFailureRethrowsThePrimarysError) {
   FaultProfile profile;
   profile.timeout_prob = 1.0;
   FaultyTransport faulty(&network, 7, profile);
-  HedgedTransport hedged(&faulty, always_fires());
+  HedgedTransport hedged(&faulty, kAlwaysFires);
   EXPECT_THROW((void)hedged.exchange(client, server_addr, query_wire(5)),
                net::TimeoutError);
   EXPECT_EQ(hedged.hedges_fired(), 1u);
@@ -141,8 +131,8 @@ TEST_F(HedgeFixture, SameBytesSameFate) {
   profile.timeout_prob = 0.3;
   FaultyTransport faulty_a(&network, 7, profile);
   FaultyTransport faulty_b(&network, 7, profile);
-  HedgedTransport a(&faulty_a, always_fires());
-  HedgedTransport b(&faulty_b, always_fires());
+  HedgedTransport a(&faulty_a, kAlwaysFires);
+  HedgedTransport b(&faulty_b, kAlwaysFires);
   for (std::uint16_t id = 0; id < 96; ++id) {
     const auto wire = query_wire(id);
     std::vector<std::uint8_t> ra;
@@ -167,95 +157,21 @@ TEST_F(HedgeFixture, SameBytesSameFate) {
   EXPECT_EQ(a.hedge_losses(), b.hedge_losses());
   EXPECT_EQ(a.rescued(), b.rescued());
   EXPECT_EQ(a.both_failed(), b.both_failed());
-  EXPECT_DOUBLE_EQ(a.latency().quantile(95.0), b.latency().quantile(95.0));
-}
-
-TEST_F(HedgeFixture, AdaptiveModeWarmsUpBeforeHedging) {
-  HedgeConfig config;
-  config.enabled = true;
-  config.threshold_ms = 0.0;  // adaptive
-  config.min_samples = 8;
-  HedgedTransport hedged(&network, config);
-  EXPECT_TRUE(std::isinf(hedged.current_threshold_ms()));
-  for (std::uint16_t id = 0; id < 8; ++id) {
-    (void)hedged.exchange(client, server_addr, query_wire(id));
-  }
-  EXPECT_EQ(hedged.hedges_fired(), 0u) << "no hedges during warm-up";
-  const double threshold = hedged.current_threshold_ms();
-  EXPECT_TRUE(std::isfinite(threshold));
-  EXPECT_GE(threshold, config.min_threshold_ms);
 }
 
 TEST_F(HedgeFixture, ConstructionRejectsBadArguments) {
-  EXPECT_THROW(HedgedTransport(nullptr, HedgeConfig{}), net::InvalidArgument);
-  HedgeConfig bad = always_fires();
-  bad.threshold_ms = -1.0;
-  EXPECT_THROW(HedgedTransport(&network, bad), net::InvalidArgument);
-  bad = always_fires();
-  bad.quantile = 0.0;
-  EXPECT_THROW(HedgedTransport(&network, bad), net::InvalidArgument);
-  bad = always_fires();
-  bad.min_samples = 0;
-  EXPECT_THROW(HedgedTransport(&network, bad), net::InvalidArgument);
-  bad = always_fires();
-  bad.slow_prob = 1.5;
-  EXPECT_THROW(HedgedTransport(&network, bad), net::InvalidArgument);
-}
-
-/// setenv/unsetenv scope guard so a throwing assertion cannot leak a knob
-/// into later tests.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-TEST(HedgeEnv, WellFormedKnobsOverrideTheBase) {
-  const EnvGuard enable("DRONGO_HEDGE_ENABLE", "1");
-  const EnvGuard threshold("DRONGO_HEDGE_THRESHOLD_MS", "12.5");
-  const EnvGuard quantile("DRONGO_HEDGE_QUANTILE", "90");
-  const EnvGuard samples("DRONGO_HEDGE_MIN_SAMPLES", "25");
-  const HedgeConfig config = hedge_config_from_env();
-  EXPECT_TRUE(config.enabled);
-  EXPECT_DOUBLE_EQ(config.threshold_ms, 12.5);
-  EXPECT_DOUBLE_EQ(config.quantile, 90.0);
-  EXPECT_EQ(config.min_samples, 25u);
-}
-
-TEST(HedgeEnv, MalformedKnobsFailLoudly) {
-  {
-    const EnvGuard g("DRONGO_HEDGE_ENABLE", "maybe");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
-  {
-    const EnvGuard g("DRONGO_HEDGE_THRESHOLD_MS", "-3");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
-  {
-    const EnvGuard g("DRONGO_HEDGE_QUANTILE", "banana");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
-  {
-    const EnvGuard g("DRONGO_HEDGE_QUANTILE", "0");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
-  {
-    const EnvGuard g("DRONGO_HEDGE_QUANTILE", "101");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
-  {
-    const EnvGuard g("DRONGO_HEDGE_MIN_SAMPLES", "0");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
-  {
-    const EnvGuard g("DRONGO_HEDGE_MIN_SAMPLES", "7.5");
-    EXPECT_THROW((void)hedge_config_from_env(), net::InvalidArgument);
-  }
+  EXPECT_THROW(HedgedTransport(nullptr, kAlwaysFires), net::InvalidArgument);
+  EXPECT_THROW(HedgedTransport(&network, 0.0), net::InvalidArgument);
+  EXPECT_THROW(HedgedTransport(&network, -1.0), net::InvalidArgument);
+  EXPECT_THROW(HedgedTransport(&network, std::numeric_limits<double>::quiet_NaN()),
+               net::InvalidArgument);
+  // A testbed hands its threshold straight to the decorator, so a negative
+  // one fails there too instead of silently running unhedged.
+  measure::TestbedConfig config = measure::TestbedConfig::planetlab();
+  config.client_count = 2;
+  config.site_count = 0;
+  config.hedge_threshold_ms = -3.0;
+  EXPECT_THROW(measure::Testbed{config}, net::InvalidArgument);
 }
 
 }  // namespace

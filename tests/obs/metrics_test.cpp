@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -102,6 +103,34 @@ TEST(Histograms, SingleObservationIsEveryPercentile) {
   EXPECT_DOUBLE_EQ(h.percentile(100.0), 2.0);
 }
 
+TEST(Histograms, EmptyReportsZero) {
+  obs::HistogramSnapshot h;
+  h.bounds = obs::default_latency_bounds_ms();
+  h.buckets.assign(h.bounds.size() + 1, 0);
+  EXPECT_EQ(h.percentile(0.0), 0.0);
+  EXPECT_EQ(h.percentile(50.0), 0.0);
+  EXPECT_EQ(h.percentile(100.0), 0.0);
+  EXPECT_EQ(h.mean_ms(), 0.0);
+}
+
+TEST(Histograms, ExtremesClampToObservedMinMax) {
+  // The lowest and highest occupied buckets, (2.5, 5] and (25, 50], are
+  // clamped to the observed min and max, so p0 and p100 report them
+  // exactly rather than the bucket edges 2.5 and 50, and no estimate
+  // leaves [min, max].
+  obs::Registry registry;
+  for (double v : {3.7, 4.1, 10.0, 30.0, 41.9}) registry.observe_ms("lat", v);
+  const auto h = registry.snapshot().histograms.at("lat");
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.7);
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), 41.9);
+  EXPECT_DOUBLE_EQ(h.percentile(-5.0), 3.7);
+  EXPECT_DOUBLE_EQ(h.percentile(250.0), 41.9);
+  for (double p = 0.0; p <= 100.0; p += 5.0) {
+    EXPECT_GE(h.percentile(p), 3.7) << "p" << p;
+    EXPECT_LE(h.percentile(p), 41.9) << "p" << p;
+  }
+}
+
 // The agreement contract with measure::percentile: on a golden sample the
 // histogram estimate must land within one bucket width of the exact
 // sorted-sample percentile (the histogram only knows bucket membership).
@@ -159,6 +188,92 @@ TEST(Histograms, ThreadedObservationsMergeLikeSerial) {
   EXPECT_EQ(a.sum_ticks, b.sum_ticks);
   EXPECT_DOUBLE_EQ(a.min, b.min);
   EXPECT_DOUBLE_EQ(a.max, b.max);
+}
+
+// The streaming-quantile contract: a histogram fed one observation at a
+// time, from any number of threads, answers percentiles within one bucket
+// of the exact sorted-sample value. With geometric bounds at 48 per decade
+// (about 5% relative resolution) that bound is tight enough to set a
+// latency threshold from.
+std::vector<double> log_bounds(double lo_ms, double hi_ms, int per_decade) {
+  std::vector<double> bounds;
+  const double ratio = std::pow(10.0, 1.0 / per_decade);
+  for (double bound = lo_ms; bound < hi_ms; bound *= ratio) bounds.push_back(bound);
+  bounds.push_back(hi_ms);
+  return bounds;
+}
+
+TEST(StreamingQuantile, SingleValueIsEveryQuantile) {
+  obs::Registry registry;
+  registry.declare_histogram("lat", log_bounds(0.05, 60000.0, 48));
+  registry.observe_ms("lat", 12.5);
+  const auto h = registry.snapshot().histograms.at("lat");
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), 12.5);
+  EXPECT_DOUBLE_EQ(h.percentile(50.0), 12.5);
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), 12.5);
+}
+
+TEST(StreamingQuantile, AgreesWithExactPercentileOnFixedSamples) {
+  // Agreement with measure::percentile is bounded by one bucket width
+  // (~5% relative at 48 buckets/decade) plus the even-spread assumption
+  // within a bucket.
+  drongo::net::Rng rng(2024);
+  obs::Registry registry;
+  registry.declare_histogram("lat", log_bounds(0.05, 60000.0, 48));
+  std::vector<double> samples;
+  for (int i = 0; i < 5000; ++i) {
+    double v = rng.uniform_real(0.5, 200.0);
+    if (rng.chance(0.05)) v += 400.0;  // a tail, like slow exchanges
+    samples.push_back(v);
+    registry.observe_ms("lat", v);
+  }
+  const auto h = registry.snapshot().histograms.at("lat");
+  for (double p : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0}) {
+    const double exact = drongo::measure::percentile(samples, p);
+    const double estimate = h.percentile(p);
+    EXPECT_NEAR(estimate, exact, 0.08 * exact + 0.5)
+        << "p" << p << ": estimate " << estimate << " vs exact " << exact;
+  }
+}
+
+TEST(StreamingQuantile, ThreadedObservationMatchesSerialGolden) {
+  // After the same multiset of observations every quantile must be
+  // identical whether one thread observed or eight raced.
+  const int kPerThread = 4000;
+  const int kThreads = 8;
+  const auto bounds = log_bounds(0.05, 60000.0, 48);
+
+  obs::Registry serial;
+  serial.declare_histogram("lat", bounds);
+  for (int t = 0; t < kThreads; ++t) {
+    auto rng = drongo::net::Rng::derive(99, static_cast<std::uint64_t>(t));
+    for (int i = 0; i < kPerThread; ++i) serial.observe_ms("lat", rng.uniform_real(0.1, 500.0));
+  }
+
+  obs::Registry threaded;
+  threaded.declare_histogram("lat", bounds);
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&threaded, t] {
+        auto rng = drongo::net::Rng::derive(99, static_cast<std::uint64_t>(t));
+        for (int i = 0; i < kPerThread; ++i) {
+          threaded.observe_ms("lat", rng.uniform_real(0.1, 500.0));
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+
+  const auto a = serial.snapshot().histograms.at("lat");
+  const auto b = threaded.snapshot().histograms.at("lat");
+  ASSERT_EQ(b.count, a.count);
+  EXPECT_DOUBLE_EQ(b.min, a.min);
+  EXPECT_DOUBLE_EQ(b.max, a.max);
+  for (double p = 0.0; p <= 100.0; p += 2.5) {
+    EXPECT_DOUBLE_EQ(b.percentile(p), a.percentile(p)) << "at p" << p;
+  }
 }
 
 }  // namespace

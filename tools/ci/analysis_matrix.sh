@@ -9,10 +9,11 @@
 # Usage: tools/ci/analysis_matrix.sh [--short] [--jobs N]
 #
 #   --short   tier-1 time budget: every sanitizer stage runs only the
-#             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine labels
-#             instead of the full suite. (`codec` is the name-compression
+#             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine|measure
+#             labels instead of the full suite. (`codec` is the name-compression
 #             differential and the allocation budget; `engine` is the
-#             training-window and decision-engine suites.)
+#             training-window and decision-engine suites; `measure` is the
+#             trial suite with the GWTW race.)
 #   --jobs N  parallel build/test jobs (default: nproc).
 #
 # Each stage uses its CMakePresets.json preset, so build trees land in
@@ -46,11 +47,11 @@ cmake --build --preset default --target drongo_lint -j "$JOBS" >/dev/null
 echo "SARIF artifact: build/drongo_lint.sarif"
 
 # Stages 2-4: sanitizer builds. In --short mode each runs only the
-# concurrency/faults/static/obs/serving/lpm/sharing/hedging/daemon/ipv6/codec label slice so
+# concurrency/faults/static/obs/serving/lpm/sharing/hedging/daemon/ipv6/codec/engine/measure label slice so
 # the whole matrix fits a tier-1 budget; the full suite is the default for nightly/deep runs.
 LABEL_ARGS=()
 if [[ "$SHORT" -eq 1 ]]; then
-  LABEL_ARGS=(-L 'concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine')
+  LABEL_ARGS=(-L 'concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine|measure')
 fi
 
 banner "stage 2/4: AddressSanitizer"

@@ -7,7 +7,6 @@
 // --seed, so outputs are reproducible and composable (campaign writes a
 // dataset file that analyze reads back).
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -38,63 +37,39 @@ using namespace drongo;
 
 namespace {
 
-/// Integer env knob with loud failure: empty/unset yields `fallback`,
-/// anything unparsable or out of [min, max] throws (a typo'd value must
-/// never silently run a different campaign).
-int env_int(const char* name, int fallback, int min_value, int max_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const std::string text(raw);
-  std::size_t used = 0;
-  int value = 0;
-  try {
-    value = std::stoi(text, &used);
-  } catch (const std::exception&) {
-    used = std::string::npos;
-  }
-  if (used != text.size() || value < min_value || value > max_value) {
-    throw net::InvalidArgument(std::string(name) + " must be an integer in [" +
-                               std::to_string(min_value) + ", " +
-                               std::to_string(max_value) + "], got \"" + text + "\"");
-  }
-  return value;
-}
-
 /// The ECS wire-family policy for every stub the testbed creates:
-/// --ecs-family / --ecs-v6-source-len, with DRONGO_ECS_FAMILY /
-/// DRONGO_ECS_V6_SOURCE_LEN filling in when the flag is left empty.
+/// --ecs-family / --ecs-v6-source-len.
 dns::EcsFamilyPolicy ecs_policy_from(const tools::OptionSet& options) {
   dns::EcsFamilyPolicy policy;
-  const std::string family = options.get("ecs-family");
-  const int parsed_family = family.empty()
-                                ? env_int("DRONGO_ECS_FAMILY", 1, 1, 2)
-                                : static_cast<int>(options.get_int("ecs-family"));
-  if (parsed_family != 1 && parsed_family != 2) {
+  const auto family = options.get_int("ecs-family");
+  if (family != 1 && family != 2) {
     throw net::InvalidArgument("--ecs-family must be 1 (IPv4) or 2 (IPv6)");
   }
-  policy.family = static_cast<std::uint16_t>(parsed_family);
-  const std::string source_len = options.get("ecs-v6-source-len");
-  const int parsed_len =
-      source_len.empty() ? env_int("DRONGO_ECS_V6_SOURCE_LEN",
-                                   net::default_ecs_scope(net::IpFamily::kV6), 1, 128)
-                         : static_cast<int>(options.get_int("ecs-v6-source-len"));
-  if (parsed_len < 1 || parsed_len > 128) {
+  policy.family = static_cast<std::uint16_t>(family);
+  const auto source_len = options.get_int("ecs-v6-source-len");
+  if (source_len < 1 || source_len > 128) {
     throw net::InvalidArgument("--ecs-v6-source-len must be in [1, 128]");
   }
-  policy.v6_source_length = parsed_len;
+  policy.v6_source_length = static_cast<int>(source_len);
   return policy;
 }
 
+/// The testbed every command builds: the --scale preset, with --seed (when
+/// given) replacing the preset's world seed. Commands derive their runner
+/// seeds from the returned config.seed, so a preset run without --seed and
+/// the same run with the preset's seed spelled out are one run.
 measure::TestbedConfig testbed_config(const tools::OptionSet& options) {
   measure::TestbedConfig config = options.get("scale") == "ripe"
                                       ? measure::TestbedConfig::ripe_atlas()
                                       : measure::TestbedConfig::planetlab();
-  config.seed = static_cast<std::uint64_t>(options.get_int("seed"));
+  if (!options.get("seed").empty()) {
+    config.seed = static_cast<std::uint64_t>(options.get_int("seed"));
+  }
   if (options.get_int("clients") > 0) {
     config.client_count = static_cast<int>(options.get_int("clients"));
   }
-  // --fault-profile names the base; DRONGO_FAULT_* env knobs then override
-  // individual probabilities (so batch jobs can tweak one dial).
+  // --fault-profile names the base; the DRONGO_FAULT_* probability knobs
+  // (no flag spells them) then override single dials.
   config.fault_profile =
       dns::fault_profile_from_env(dns::parse_fault_profile(options.get("fault-profile")));
   // Serving-path knobs: --resolver-shards N (> 0) turns the resolver's
@@ -106,16 +81,14 @@ measure::TestbedConfig testbed_config(const tools::OptionSet& options) {
     config.serving.shards = static_cast<std::size_t>(shards);
   }
   config.serving.coalesce = options.get_flag("coalesce");
-  // Hedged upstream exchanges: --hedge arms the decorator; DRONGO_HEDGE_*
-  // env knobs can also enable it or refine the thresholds (malformed values
-  // fail loudly here, before any campaign time is spent).
-  dns::HedgeConfig hedge;
-  hedge.enabled = options.get_flag("hedge");
-  hedge.threshold_ms = options.get_double("hedge-threshold-ms");
-  if (hedge.threshold_ms < 0) {
+  // Hedged upstream exchanges: --hedge-threshold-ms > 0 arms the decorator
+  // at that pinned threshold (malformed values fail loudly here, before any
+  // campaign time is spent).
+  const double hedge_threshold = options.get_double("hedge-threshold-ms");
+  if (!(hedge_threshold >= 0)) {
     throw net::InvalidArgument("--hedge-threshold-ms must be >= 0");
   }
-  config.hedge = dns::hedge_config_from_env(hedge);
+  config.hedge_threshold_ms = hedge_threshold;
   // CoDel admission control: --codel-target-ms > 0 arms overload shedding
   // in front of the resolver's serving path.
   const double codel_target = options.get_double("codel-target-ms");
@@ -130,7 +103,9 @@ measure::TestbedConfig testbed_config(const tools::OptionSet& options) {
 }
 
 void add_common(tools::OptionSet& options) {
-  options.add_option("seed", "42", "deterministic seed for the simulated Internet");
+  options.add_option("seed", "",
+                     "deterministic seed for the simulated Internet "
+                     "(empty = the scale's own: planetlab 42, ripe 1729)");
   options.add_option("clients", "0", "client count (0 = scale default)");
   options.add_option("scale", "planetlab", "testbed scale: planetlab | ripe");
   options.add_option("fault-profile", "none",
@@ -139,21 +114,19 @@ void add_common(tools::OptionSet& options) {
                      "resolver serving cache: N lock-striped shards (0 = cache off)");
   options.add_flag("coalesce",
                    "coalesce concurrent identical resolver queries (singleflight)");
-  options.add_flag("hedge",
-                   "hedge the resolver's upstream exchanges "
-                   "(also DRONGO_HEDGE_ENABLE=1)");
   options.add_option("hedge-threshold-ms", "0",
-                     "pinned hedge threshold in ms (0 = adaptive rolling quantile)");
+                     "hedge the resolver's upstream exchanges past this many ms "
+                     "(0 = no hedging)");
   options.add_option("codel-target-ms", "0",
                      "CoDel admission target sojourn in ms (0 = admission off)");
   options.add_option("codel-interval-ms", "100", "CoDel admission interval in ms");
-  options.add_option("ecs-family", "",
+  options.add_option("ecs-family", "1",
                      "ECS wire family stubs announce: 1 = IPv4, 2 = IPv6 via the "
-                     "sim's v4-in-v6 embedding (empty = DRONGO_ECS_FAMILY, default 1)");
-  options.add_option("ecs-v6-source-len", "",
+                     "sim's v4-in-v6 embedding");
+  options.add_option("ecs-v6-source-len",
+                     std::to_string(net::default_ecs_scope(net::IpFamily::kV6)),
                      "announced v6 source prefix length with --ecs-family 2; /56 "
-                     "matches v4 /24, /48 coarsens to /16 "
-                     "(empty = DRONGO_ECS_V6_SOURCE_LEN, default 56)");
+                     "matches v4 /24, /48 coarsens to /16");
 }
 
 int cmd_world(const std::vector<std::string>& args) {
@@ -186,7 +159,7 @@ int cmd_trial(const std::vector<std::string>& args) {
   options.add_option("provider", "0", "provider index (0..5)");
   options.parse(args);
   measure::Testbed testbed(testbed_config(options));
-  measure::TrialRunner runner(&testbed, static_cast<std::uint64_t>(options.get_int("seed")) ^ 0xAB);
+  measure::TrialRunner runner(&testbed, testbed.config().seed ^ 0xAB);
   const auto trial = runner.run(static_cast<std::size_t>(options.get_int("client")),
                                 static_cast<std::size_t>(options.get_int("provider")), 0.0);
   std::cout << "client " << trial.client.to_string() << "  provider " << trial.provider
@@ -239,9 +212,7 @@ int cmd_campaign(const std::vector<std::string>& args) {
   const auto gwtw_k = options.get_int("gwtw-k");
   if (gwtw_k < 0) throw net::InvalidArgument("--gwtw-k must be >= 0");
   trial_config.gwtw_k = static_cast<int>(gwtw_k);
-  measure::TrialRunner runner(&testbed,
-                              static_cast<std::uint64_t>(options.get_int("seed")) ^ 0xCA,
-                              trial_config);
+  measure::TrialRunner runner(&testbed, testbed.config().seed ^ 0xCA, trial_config);
   // One registry spans the whole campaign: testbed fault fabrics, every
   // stub the trials create, and the trial runner itself all tally into it.
   // Its snapshot is seed-deterministic for any thread count, so the files
@@ -363,8 +334,7 @@ int cmd_campaign(const std::vector<std::string>& args) {
               << hedged->hedges_fired() << " hedges (" << hedged->hedge_wins()
               << " wins, " << hedged->hedge_losses() << " losses, "
               << hedged->rescued() << " rescued, " << hedged->both_failed()
-              << " dual failures), effective p95 "
-              << analysis::fmt(hedged->latency().quantile(95.0), 2) << " ms\n";
+              << " dual failures)\n";
   }
   if (testbed.config().serving.overload.enabled) {
     const auto& admission = testbed.resolver().admission();
@@ -411,9 +381,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
   measure::Testbed testbed(config);
   analysis::EvaluationConfig eval_config;
   eval_config.threads = static_cast<int>(options.get_int("threads"));
-  analysis::Evaluation evaluation(&testbed,
-                                  static_cast<std::uint64_t>(options.get_int("seed")) ^ 0x57,
-                                  eval_config);
+  analysis::Evaluation evaluation(&testbed, config.seed ^ 0x57, eval_config);
   const std::vector<double> vf_values{0.2, 0.4, 0.6, 0.8, 1.0};
   const std::vector<double> vt_values{0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0};
   const auto sweep = analysis::parameter_sweep(evaluation, vf_values, vt_values);
@@ -480,8 +448,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   measure::TestbedConfig config = testbed_config(options);
   config.client_count = std::max(4, config.client_count);
   measure::Testbed testbed(config);
-  measure::TrialRunner runner(&testbed,
-                              static_cast<std::uint64_t>(options.get_int("seed")) ^ 0x5E);
+  measure::TrialRunner runner(&testbed, config.seed ^ 0x5E);
   core::DrongoParams params;
   params.min_valley_frequency = options.get_double("vf");
   params.valley_threshold = options.get_double("vt");
@@ -522,18 +489,17 @@ int cmd_help() {
                "  probe     unrestricted-ECS provider probe\n"
                "  serve     run the trained Drongo LDNS proxy over UDP and TCP\n"
                "  help      this text\n\n"
-               "common options: --seed N, --clients N, --scale planetlab|ripe,\n"
+               "common options: --seed N (default: the scale's own seed),\n"
+               "  --clients N, --scale planetlab|ripe,\n"
                "  --fault-profile none|lossy|flaky|ecs-hostile|chaos (DNS fault\n"
                "  injection; fine-tune with DRONGO_FAULT_* env knobs),\n"
                "  --resolver-shards N (serving cache, 0 = off), --coalesce\n"
                "  (singleflight for concurrent identical queries),\n"
-               "  --hedge + --hedge-threshold-ms MS (hedged upstream exchanges;\n"
-               "  DRONGO_HEDGE_* env knobs refine), --codel-target-ms MS +\n"
-               "  --codel-interval-ms MS (CoDel overload shedding, 0 = off),\n"
-               "  --ecs-family 1|2 + --ecs-v6-source-len N (dual-stack ECS: stubs\n"
-               "  announce family-2 v4-in-v6 subnets; /56 matches v4 /24, /48\n"
-               "  coarsens to /16; also DRONGO_ECS_FAMILY /\n"
-               "  DRONGO_ECS_V6_SOURCE_LEN)\n"
+               "  --hedge-threshold-ms MS (hedge upstream exchanges past MS,\n"
+               "  0 = off), --codel-target-ms MS + --codel-interval-ms MS (CoDel\n"
+               "  overload shedding, 0 = off), --ecs-family 1|2 +\n"
+               "  --ecs-v6-source-len N (dual-stack ECS: stubs announce family-2\n"
+               "  v4-in-v6 subnets; /56 matches v4 /24, /48 coarsens to /16)\n"
                "campaign racing: --gwtw-k K races the first K replicas per trial\n"
                "  (Go-With-The-Winner; race standings land in the dataset)\n"
                "campaign telemetry: --metrics-out FILE (JSON-lines) and\n"
