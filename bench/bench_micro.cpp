@@ -1,17 +1,21 @@
 // Micro-benchmarks (google-benchmark): the hot paths of every layer.
 //
 // These quantify the per-query costs a deployed Drongo adds: DNS wire
-// codec, ECS rewriting, resolution through the full chain, decision-engine
+// codec (A-record and PTR messages), ECS rewriting, resolution through the
+// full chain (an A lookup and a PTR lookup), decision-engine
 // updates and choices, and the simulator's own primitives (routing, RTT).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <vector>
 
 #include "core/decision.hpp"
 #include "core/drongo.hpp"
 #include "dns/message.hpp"
+#include "dns/reverse.hpp"
 #include "measure/testbed.hpp"
 #include "measure/trial.hpp"
 #include "topology/as_gen.hpp"
@@ -171,6 +175,76 @@ MicroWorld& micro_world() {
   static MicroWorld world;
   return world;
 }
+
+/// A router's PTR query, as a stub naming a traceroute hop sends it, and
+/// the resolver's reply to it (the campaign's commonest exchange).
+struct PtrExchange {
+  net::Ipv4Addr router;
+  dns::Message query;
+  dns::Message reply;
+};
+
+const PtrExchange& ptr_exchange() {
+  static const PtrExchange exchange = [] {
+    auto& testbed = *micro_world().testbed;
+    const net::Ipv4Addr router(testbed.world().block_of(0).network().to_uint() | 1u);
+    auto query = dns::Message::make_query(0x3456, dns::reverse_pointer_name(router),
+                                          std::nullopt, dns::RrType::kPtr);
+    auto reply = testbed.resolver().handle(query, testbed.clients()[0]);
+    return PtrExchange{router, std::move(query), std::move(reply)};
+  }();
+  return exchange;
+}
+
+void BM_PtrQueryBuildEncode(benchmark::State& state) {
+  const net::Ipv4Addr router = ptr_exchange().router;
+  std::vector<std::uint8_t> wire;
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    const auto query = dns::Message::make_query(0x3456, dns::reverse_pointer_name(router),
+                                                std::nullopt, dns::RrType::kPtr);
+    query.encode_to(wire);
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PtrQueryBuildEncode);
+
+void BM_PtrReplyEncode(benchmark::State& state) {
+  const dns::Message& reply = ptr_exchange().reply;
+  if (reply.answers.empty()) state.SkipWithError("the router has no PTR name");
+  std::vector<std::uint8_t> wire;
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    reply.encode_to(wire);
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PtrReplyEncode);
+
+void BM_PtrReplyDecode(benchmark::State& state) {
+  const auto wire = ptr_exchange().reply.encode();
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::Message::decode(wire));
+  }
+}
+BENCHMARK(BM_PtrReplyDecode);
+
+void BM_PtrResolutionChain(benchmark::State& state) {
+  // Stub -> resolver -> reverse-DNS authoritative and back: four encodes
+  // and four decodes, as for every traceroute hop a trial names.
+  auto& testbed = *micro_world().testbed;
+  auto stub = testbed.make_stub(testbed.clients()[0], 1);
+  const net::Ipv4Addr router = ptr_exchange().router;
+  if (stub.resolve_ptr(router).empty()) state.SkipWithError("the router has no PTR name");
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stub.resolve_ptr(router));
+  }
+}
+BENCHMARK(BM_PtrResolutionChain);
 
 void BM_RttColdCache(benchmark::State& state) {
   auto& testbed = *micro_world().testbed;

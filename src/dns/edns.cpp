@@ -45,12 +45,23 @@ net::IpPrefix ClientSubnet::scope_prefix() const {
 }
 
 void ClientSubnet::encode(net::ByteWriter& writer) const {
-  writer.write_u16(family);
-  writer.write_u8(source_prefix_length);
-  writer.write_u8(scope_prefix_length);
+  net::ByteCursor out = writer.extend(wire_length());
+  encode(out);
+  writer.finish(out);
+}
+
+std::size_t ClientSubnet::wire_length() const {
+  return 4 + (is_representable() ? address_bytes_for(source_prefix_length)
+                                  : opaque_address.size());
+}
+
+void ClientSubnet::encode(net::ByteCursor& out) const {
+  out.write_u16(family);
+  out.write_u8(source_prefix_length);
+  out.write_u8(scope_prefix_length);
   if (!is_representable()) {
     // Foreign family: replay the bytes we decoded, verbatim.
-    for (const std::uint8_t b : opaque_address) writer.write_u8(b);
+    out.write_bytes(opaque_address);
     return;
   }
   // RFC 7871 §6: address is truncated to the minimum bytes covering
@@ -61,12 +72,12 @@ void ClientSubnet::encode(net::ByteWriter& writer) const {
   if (family == 1) {
     const std::uint32_t masked = canonical.network().v4().to_uint();
     for (std::size_t i = 0; i < bytes; ++i) {
-      writer.write_u8(static_cast<std::uint8_t>(masked >> (8 * (3 - i))));
+      out.write_u8(static_cast<std::uint8_t>(masked >> (8 * (3 - i))));
     }
   } else {
     const net::Ipv6Addr masked = canonical.network().v6();
     for (std::size_t i = 0; i < bytes; ++i) {
-      writer.write_u8(masked.octet(static_cast<int>(i)));
+      out.write_u8(masked.octet(static_cast<int>(i)));
     }
   }
 }

@@ -62,6 +62,13 @@ struct ClientSubnet {
   /// trailing partial byte is masked, as the RFC requires.
   void encode(net::ByteWriter& writer) const;
 
+  /// encode() through a cursor with room for wire_length() more bytes.
+  void encode(net::ByteCursor& out) const;
+
+  /// The most bytes encode() writes: the fixed header and the address
+  /// bytes.
+  [[nodiscard]] std::size_t wire_length() const;
+
   /// Decodes an option payload of exactly `length` bytes from the reader.
   /// Validates family-specific prefix-length bounds (<=32 for family 1,
   /// <=128 for family 2) and the ceil(source/8) address-byte count (all

@@ -26,8 +26,9 @@ std::uint16_t pack_flags(const Header& h) {
   return flags;
 }
 
-Header unpack_flags(std::uint16_t id, std::uint16_t flags) {
-  Header h;
+/// Fills `h` in place: a Header built on the stack and copied out costs a
+/// failed store-to-load forward on every decode.
+void unpack_flags(std::uint16_t id, std::uint16_t flags, Header& h) {
   h.id = id;
   h.qr = (flags & kFlagQr) != 0;
   h.opcode = static_cast<Opcode>((flags >> 11) & 0xF);
@@ -36,35 +37,43 @@ Header unpack_flags(std::uint16_t id, std::uint16_t flags) {
   h.rd = (flags & kFlagRd) != 0;
   h.ra = (flags & kFlagRa) != 0;
   h.rcode = static_cast<Rcode>(flags & 0xF);
-  return h;
+}
+
+/// The OPT pseudo-record's wire length: root owner, TYPE, CLASS, TTL and
+/// RDLENGTH, then each option's code, length and payload.
+std::size_t opt_record_length(const Edns& edns) {
+  std::size_t n = 11;
+  if (edns.client_subnet) n += 4 + edns.client_subnet->wire_length();
+  for (const auto& opt : edns.other_options) n += 4 + opt.payload.size();
+  return n;
 }
 
 /// Writes the OPT pseudo-record (RFC 6891) straight into the message
-/// writer — byte-identical to encoding it as a ResourceRecord, without
+/// wire — byte-identical to encoding it as a ResourceRecord, without
 /// materialising one (the serving hot path encodes an OPT per reply).
-void write_opt_record(net::ByteWriter& w, const Edns& edns) {
+void write_opt_record(net::ByteCursor& w, const Edns& edns) {
   w.write_u8(0);  // root owner name
   w.write_u16(static_cast<std::uint16_t>(RrType::kOpt));
   w.write_u16(edns.udp_payload_size);  // CLASS carries the payload size
   w.write_u32((std::uint32_t{edns.extended_rcode} << 24) |
               (std::uint32_t{edns.version} << 16) | edns.flags);
-  const std::size_t rdlength_at = w.size();
+  const std::size_t rdlength_at = w.position();
   w.write_u16(0);  // patched below
-  const std::size_t rdata_start = w.size();
+  const std::size_t rdata_start = w.position();
   if (edns.client_subnet) {
     w.write_u16(kOptionCodeClientSubnet);
-    const std::size_t len_at = w.size();
+    const std::size_t len_at = w.position();
     w.write_u16(0);
-    const std::size_t start = w.size();
+    const std::size_t start = w.position();
     edns.client_subnet->encode(w);
-    w.patch_u16(len_at, static_cast<std::uint16_t>(w.size() - start));
+    w.patch_u16(len_at, static_cast<std::uint16_t>(w.position() - start));
   }
   for (const auto& opt : edns.other_options) {
     w.write_u16(opt.code);
     w.write_u16(static_cast<std::uint16_t>(opt.payload.size()));
     w.write_bytes(opt.payload);
   }
-  w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
+  w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.position() - rdata_start));
 }
 
 /// Parses an OPT pseudo-record (RFC 6891) straight from the message reader,
@@ -72,25 +81,30 @@ void write_opt_record(net::ByteWriter& w, const Edns& edns) {
 /// size, TTL the extended rcode, version and flags, and the options are read
 /// from the RDATA in place, without copying it out first.
 Edns parse_opt(net::ByteReader& r) {
-  Edns edns;
-  edns.udp_payload_size = r.read_u16();
+  // The fields are read into locals and the Edns built from all of them at
+  // once: a default-constructed Edns is zeroed whole first.
+  const std::uint16_t udp_payload_size = r.read_u16();
   const std::uint32_t ttl = r.read_u32();
-  edns.extended_rcode = static_cast<std::uint8_t>(ttl >> 24);
-  edns.version = static_cast<std::uint8_t>(ttl >> 16);
-  edns.flags = static_cast<std::uint16_t>(ttl);
   const std::uint16_t rdlength = r.read_u16();
   if (rdlength > r.remaining()) throw net::ParseError("RDATA length overruns message");
   net::ByteReader options(r.read_span(rdlength));
+  std::optional<ClientSubnet> client_subnet;
+  std::vector<EdnsOption> other_options;
   while (options.remaining() > 0) {
     const std::uint16_t code = options.read_u16();
     const std::uint16_t len = options.read_u16();
     if (code == kOptionCodeClientSubnet) {
-      edns.client_subnet = ClientSubnet::decode(options, len);
+      client_subnet = ClientSubnet::decode(options, len);
     } else {
-      edns.other_options.push_back({code, options.read_bytes(len)});
+      other_options.push_back({code, options.read_bytes(len)});
     }
   }
-  return edns;
+  return Edns{udp_payload_size,
+              static_cast<std::uint8_t>(ttl >> 24),  // extended rcode
+              static_cast<std::uint8_t>(ttl >> 16),  // version
+              static_cast<std::uint16_t>(ttl),       // flags
+              std::move(client_subnet),
+              std::move(other_options)};
 }
 
 /// Whether the reader sits on an OPT record with the root owner name — the
@@ -112,6 +126,8 @@ std::size_t reserve_for(std::uint16_t count, std::size_t remaining, std::size_t 
 // on the wire.
 constexpr std::size_t kMinRecordSize = 11;
 
+constexpr std::size_t kHeaderSize = 12;
+
 }  // namespace
 
 Message Message::make_query(std::uint16_t id, const DnsName& name,
@@ -120,7 +136,7 @@ Message Message::make_query(std::uint16_t id, const DnsName& name,
   m.header.id = id;
   m.header.qr = false;
   m.header.rd = true;
-  m.questions.push_back({name, type, RrClass::kIn});
+  m.questions.emplace_back(name, type, RrClass::kIn);
   m.edns = Edns{};
   if (ecs_subnet) {
     m.edns->client_subnet = ClientSubnet::for_subnet(*ecs_subnet);
@@ -188,7 +204,16 @@ std::vector<std::uint8_t> Message::encode() const {
 }
 
 void Message::encode_to(std::vector<std::uint8_t>& out) const {
-  net::ByteWriter w(std::move(out));
+  // Size the wire once, from the uncompressed lengths (compression only
+  // shortens it), write through a cursor, then trim to what was written.
+  std::size_t length = kHeaderSize;
+  for (const auto& q : questions) length += q.name.wire_length() + 4;
+  for (const auto* section : {&answers, &authority, &additional}) {
+    for (const auto& rr : *section) length += rr.max_wire_length();
+  }
+  if (edns) length += opt_record_length(*edns);
+  out.resize(length);
+  net::ByteCursor w(out, 0);
   NameOffsets offsets;
 
   const std::size_t additional_count = additional.size() + (edns ? 1 : 0);
@@ -208,7 +233,7 @@ void Message::encode_to(std::vector<std::uint8_t>& out) const {
   for (const auto& rr : authority) rr.encode(w, &offsets);
   for (const auto& rr : additional) rr.encode(w, &offsets);
   if (edns) write_opt_record(w, *edns);
-  out = w.take();
+  out.resize(w.position());
 }
 
 Message Message::decode(std::span<const std::uint8_t> wire) {
@@ -216,7 +241,7 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
   Message m;
   const std::uint16_t id = r.read_u16();
   const std::uint16_t flags = r.read_u16();
-  m.header = unpack_flags(id, flags);
+  unpack_flags(id, flags, m.header);
   const std::uint16_t qdcount = r.read_u16();
   const std::uint16_t ancount = r.read_u16();
   const std::uint16_t nscount = r.read_u16();
@@ -229,9 +254,9 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
     q.klass = static_cast<RrClass>(r.read_u16());
   }
   m.answers.reserve(reserve_for(ancount, r.remaining(), kMinRecordSize));
-  for (int i = 0; i < ancount; ++i) m.answers.push_back(ResourceRecord::decode(r));
+  for (int i = 0; i < ancount; ++i) ResourceRecord::decode_into(r, m.answers);
   m.authority.reserve(reserve_for(nscount, r.remaining(), kMinRecordSize));
-  for (int i = 0; i < nscount; ++i) m.authority.push_back(ResourceRecord::decode(r));
+  for (int i = 0; i < nscount; ++i) ResourceRecord::decode_into(r, m.authority);
   for (int i = 0; i < arcount; ++i) {
     if (at_root_opt(r)) {
       if (m.edns) throw net::ParseError("message carries more than one OPT record");
@@ -239,9 +264,8 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
       m.edns = parse_opt(r);
       continue;
     }
-    ResourceRecord rr = ResourceRecord::decode(r);
+    const ResourceRecord& rr = ResourceRecord::decode_into(r, m.additional);
     if (rr.type == RrType::kOpt) throw net::ParseError("OPT record owner must be root");
-    m.additional.push_back(std::move(rr));
   }
   return m;
 }

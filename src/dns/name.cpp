@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "net/bytes.hpp"
 #include "net/error.hpp"
 
 namespace drongo::dns {
@@ -15,11 +16,43 @@ constexpr std::uint8_t fold(std::uint8_t c) {
   return c >= 'A' && c <= 'Z' ? static_cast<std::uint8_t>(c + ('a' - 'A')) : c;
 }
 
+/// Each byte of `x` with RFC 1035 case folding applied, eight at a time:
+/// 0x20 is set in the bytes holding 'A'..'Z' and in no other.
+constexpr std::uint64_t fold8(std::uint64_t x) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101;
+  constexpr std::uint64_t kHigh = 0x8080808080808080;
+  const std::uint64_t low7 = x & ~kHigh;
+  // The high bit of each byte of `from_a` says "low 7 bits >= 'A'", of
+  // `past_z` "> 'Z'"; neither sum carries into the next byte.
+  const std::uint64_t from_a = low7 + (0x80 - 'A') * kOnes;
+  const std::uint64_t past_z = low7 + (0x80 - 'Z' - 1) * kOnes;
+  const std::uint64_t upper = (from_a & ~past_z) & ~x & kHigh;
+  return x | (upper >> 2);
+}
+
+std::uint64_t load8(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Whether `a` and `b` hold the same `n` bytes up to ASCII case. Compares
+/// eight bytes at a time (the last word overlaps the one before it) and
+/// reads nothing past the n bytes.
 bool folded_equal(const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i] && fold(a[i]) != fold(b[i])) return false;
+  if (n < 8) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (a[i] != b[i] && fold(a[i]) != fold(b[i])) return false;
+    }
+    return true;
   }
-  return true;
+  const auto same = [](std::uint64_t x, std::uint64_t y) {
+    return x == y || fold8(x) == fold8(y);
+  };
+  for (std::size_t i = 0; i + 8 < n; i += 8) {
+    if (!same(load8(a + i), load8(b + i))) return false;
+  }
+  return same(load8(a + n - 8), load8(b + n - 8));
 }
 
 /// Case-insensitive three-way comparison of the labels at `a` and `b`
@@ -57,7 +90,8 @@ bool append_label(std::uint8_t* wire, std::size_t& total, std::string_view label
     return false;
   }
   wire[total - 1] = static_cast<std::uint8_t>(label.size());
-  std::memcpy(wire + total, label.data(), label.size());
+  net::copy_bytes(wire + total, reinterpret_cast<const std::uint8_t*>(label.data()),
+                  label.size());
   total += 1 + label.size();
   return true;
 }
@@ -65,7 +99,7 @@ bool append_label(std::uint8_t* wire, std::size_t& total, std::string_view label
 /// Whether the name written at `at` in `wire` equals the name suffix
 /// `suffix` (length-prefixed labels ending in the root byte),
 /// case-insensitively, following compression pointers. False when the walk
-/// leaves the buffer, as it does from a name still being written.
+/// leaves the buffer: a NameOffsets built by hand may name any offset.
 bool suffix_written_at(std::span<const std::uint8_t> wire, std::size_t at,
                        const std::uint8_t* suffix) {
   int hops = 0;
@@ -87,7 +121,7 @@ bool suffix_written_at(std::span<const std::uint8_t> wire, std::size_t at,
 }  // namespace
 
 DnsName::DnsName(const std::vector<std::string>& labels) {
-  std::uint8_t wire[kMaxWireLength] = {};
+  std::uint8_t wire[kMaxWireLength];  // written front to back, read up to `total`
   std::size_t total = 1;  // terminating root byte
   for (const auto& label : labels) {
     if (label.empty() || label.size() > kMaxLabelLength) {
@@ -100,12 +134,10 @@ DnsName::DnsName(const std::vector<std::string>& labels) {
   assign(wire, total, labels.size());
 }
 
-DnsName::DnsName(DnsName&& other) noexcept { steal(other); }
-
 DnsName& DnsName::operator=(const DnsName& other) {
   if (this == &other) return *this;
   if (on_heap() && size_ == other.size_) {
-    std::memcpy(heap(), other.data(), size_);  // same-size heap block: reuse it
+    net::copy_bytes(heap(), other.data(), size_);  // same-size heap block: reuse it
     label_count_ = other.label_count_;
     return *this;
   }
@@ -115,31 +147,12 @@ DnsName& DnsName::operator=(const DnsName& other) {
   return *this;
 }
 
-DnsName& DnsName::operator=(DnsName&& other) noexcept {
-  if (this == &other) return *this;
-  release();
-  steal(other);
-  return *this;
-}
-
-void DnsName::steal(DnsName& other) noexcept {
-  size_ = other.size_;
-  label_count_ = other.label_count_;
-  // Either the heap pointer or the inline bytes; both live in inline_bytes_.
-  std::memcpy(inline_bytes_, other.inline_bytes_, on_heap() ? sizeof(std::uint8_t*) : size_);
-  if (other.on_heap()) {  // the block is ours now: leave `other` the root
-    other.size_ = 1;
-    other.label_count_ = 0;
-    other.inline_bytes_[0] = 0;
-  }
-}
-
 void DnsName::assign(const std::uint8_t* wire, std::size_t size, std::size_t label_count) {
   if (size <= kInlineCapacity) {
-    std::memcpy(inline_bytes_, wire, size);
+    net::copy_bytes(inline_bytes_, wire, size);
   } else {
     auto* block = new std::uint8_t[size];
-    std::memcpy(block, wire, size);
+    net::copy_bytes(block, wire, size);
     std::memcpy(inline_bytes_, &block, sizeof block);
   }
   // Set last: if the allocation throws, the object still reads as inline.
@@ -151,20 +164,26 @@ std::optional<DnsName> DnsName::parse(std::string_view text) {
   if (text.empty()) return std::nullopt;
   if (text == ".") return DnsName();
   if (text.back() == '.') text.remove_suffix(1);
-  // Scratch is written front to back and read only up to `total`, so it is
-  // left uninitialized (as in decode).
+  // The wire form is the text behind one length byte, each dot turned into
+  // the length of the label after it, then the root byte: one copy, then
+  // one pass over it. Scratch is written front to back and read only up to
+  // the root byte, so it is left uninitialized (as in decode).
+  const std::size_t n = text.size();
+  if (n + 2 > kMaxWireLength) return std::nullopt;
   std::uint8_t wire[kMaxWireLength];
-  std::size_t total = 1;
+  net::copy_bytes(wire + 1, reinterpret_cast<const std::uint8_t*>(text.data()), n);
+  wire[n + 1] = 0;
   std::size_t count = 0;
-  for (;;) {
-    const std::size_t dot = text.find('.');
-    if (!append_label(wire, total, text.substr(0, dot))) return std::nullopt;
+  std::size_t length_at = 0;  // the current label's length byte
+  for (std::size_t at = 1; at <= n + 1; ++at) {
+    if (at <= n && wire[at] != '.') continue;
+    const std::size_t label = at - length_at - 1;
+    if (label == 0 || label > kMaxLabelLength) return std::nullopt;
+    wire[length_at] = static_cast<std::uint8_t>(label);
+    length_at = at;
     ++count;
-    if (dot == std::string_view::npos) break;
-    text.remove_prefix(dot + 1);
   }
-  wire[total - 1] = 0;
-  return DnsName(wire, total, count);
+  return DnsName(wire, n + 2, count);
 }
 
 DnsName DnsName::must_parse(std::string_view text) {
@@ -174,90 +193,123 @@ DnsName DnsName::must_parse(std::string_view text) {
 }
 
 DnsName DnsName::decode(net::ByteReader& reader) {
-  // Scratch is written front to back and read only up to `total`: zeroing
-  // all 255 bytes would cost more than decoding a typical name.
-  std::uint8_t wire[kMaxWireLength];
-  std::size_t total = 1;
+  // Walks the buffer directly, making each check the reader would make, in
+  // the same order and with the same error, but copying a run of in-place
+  // labels only when the run ends (at a pointer or the root byte).
+  const std::span<const std::uint8_t> buffer = reader.buffer();
+  const std::uint8_t* bytes = buffer.data();
+  const std::size_t size = buffer.size();
+  const std::size_t start = reader.position();
+  std::size_t at = start;
+  std::size_t run = start;   // where the current run of in-place labels starts
+  std::size_t length = 0;    // wire bytes of the labels so far, root byte not counted
+  std::size_t copied = 0;    // of which already copied out
   std::size_t count = 0;
-  // After the first pointer the cursor must not move; we continue decoding at
-  // the pointer target via a secondary reader over the same buffer.
-  bool jumped = false;
-  net::ByteReader indirect(reader.buffer());
-  net::ByteReader* r = &reader;
+  std::size_t consumed = 0;  // the reader's bytes: set at the first pointer
   int pointer_hops = 0;
+  // Scratch for a name spread over several runs; it is written front to
+  // back and read only up to `length`, so it is left uninitialized.
+  std::uint8_t wire[kMaxWireLength];
 
   for (;;) {
-    const std::uint8_t len = r->read_u8();
+    if (at >= size) net::detail::throw_overrun(1, at, size);
+    const std::uint8_t len = bytes[at];
     if ((len & kPointerTag) == kPointerTag) {
-      const std::uint8_t low = r->read_u8();
-      const std::size_t target =
-          (static_cast<std::size_t>(len & 0x3F) << 8) | low;
+      if (at + 1 >= size) net::detail::throw_overrun(1, at + 1, size);
+      const std::size_t target = (static_cast<std::size_t>(len & 0x3F) << 8) | bytes[at + 1];
       // A pointer must reference earlier bytes; forward or self pointers can
       // only loop. Also cap total hops against crafted ping-pong chains.
-      const std::size_t here = (r == &reader) ? reader.position() : indirect.position();
-      if (target >= here) {
+      if (target >= at + 2) {
         throw net::ParseError("DNS compression pointer does not point backward");
       }
       if (++pointer_hops > kMaxPointerHops) {
         throw net::ParseError("DNS compression pointer chain too long");
       }
-      if (!jumped) {
-        jumped = true;
-        r = &indirect;
-      }
-      r->seek(target);
+      if (consumed == 0) consumed = at + 2 - start;
+      net::copy_bytes(wire + copied, bytes + run, at - run);
+      copied = length;
+      at = run = target;
       continue;
     }
     if ((len & kPointerTag) != 0) {
       throw net::ParseError("reserved DNS label type");
     }
     if (len == 0) break;
-    if (total + 1 + len > kMaxWireLength) {
+    if (length + 2 + len > kMaxWireLength) {
       throw net::ParseError("decoded DNS name exceeds 255 bytes");
     }
-    const auto label = r->read_span(len);
-    wire[total - 1] = len;
-    std::memcpy(wire + total, label.data(), len);
-    total += 1 + len;
+    if (size - (at + 1) < len) net::detail::throw_overrun(len, at + 1, size);
+    at += 1 + len;
+    length += 1 + len;
     ++count;
   }
-  wire[total - 1] = 0;
-  return DnsName(wire, total, count);
+  if (consumed == 0) {
+    // No pointer: the name, root byte included, sits in place in one run.
+    reader.skip(at + 1 - start);
+    return DnsName(bytes + start, length + 1, count);
+  }
+  reader.skip(consumed);
+  net::copy_bytes(wire + copied, bytes + run, at - run);
+  wire[length] = 0;
+  return DnsName(wire, length + 1, count);
+}
+
+int NameOffsets::find(std::span<const std::uint8_t> wire, const std::uint8_t* suffix,
+                      std::size_t length) const {
+  if ((length_filter_ & filter_bit(length)) == 0) return -1;
+  const std::span<const std::uint16_t> offsets = view();
+  const std::span<const std::uint8_t> suffix_lengths = lengths();
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    const std::uint8_t recorded = suffix_lengths[i];
+    if ((recorded == length || recorded == kAnyLength) &&
+        suffix_written_at(wire, offsets[i], suffix)) {
+      return offsets[i];
+    }
+  }
+  return -1;
 }
 
 void DnsName::encode(net::ByteWriter& writer, NameOffsets* offsets) const {
+  net::ByteCursor out = writer.extend(size_);
+  encode(out, offsets);
+  writer.finish(out);
+}
+
+void DnsName::encode(net::ByteCursor& out, NameOffsets* offsets) const {
   const std::uint8_t* bytes = data();
   if (offsets == nullptr) {
-    writer.write_bytes({bytes, size_});
+    out.write_bytes({bytes, size_});
     return;
   }
-  // Offsets are recorded as labels are written, so a probe may start at a
-  // suffix of this very name; its walk then runs into the end of the buffer
-  // (the name is unfinished) and fails, which is why the walk is
-  // bounds-checked. No suffix of a name equals a longer suffix of the same
-  // name, so nothing is lost.
-  for (std::size_t at = 0; bytes[at] != 0; at += 1 + bytes[at]) {
-    const std::span<const std::uint8_t> wire(writer.bytes());
-    for (const std::uint16_t written : *offsets) {
-      if (suffix_written_at(wire, written, bytes + at)) {
-        writer.write_u16(static_cast<std::uint16_t>(0xC000 | written));
-        return;
-      }
-    }
-    if (writer.size() < 0x4000) offsets->push_back(static_cast<std::uint16_t>(writer.size()));
-    writer.write_bytes({bytes + at, std::size_t{1} + bytes[at]});
+  // Probe each suffix, longest first, before writing anything. A probe
+  // never sees a suffix of this name (none is recorded yet), and none
+  // could match: a name's suffixes all differ in length.
+  std::size_t prefix = 0;  // bytes written in place
+  int pointer = -1;
+  for (; bytes[prefix] != 0; prefix += 1 + bytes[prefix]) {
+    pointer = offsets->find(out.written(), bytes + prefix, size_ - prefix);
+    if (pointer >= 0) break;
   }
-  writer.write_u8(0);
+  const std::size_t start = out.position();
+  for (std::size_t at = 0; at < prefix && start + at < 0x4000; at += 1 + bytes[at]) {
+    offsets->push_back(static_cast<std::uint16_t>(start + at),
+                       static_cast<std::uint8_t>(size_ - at));
+  }
+  if (pointer < 0) {
+    out.write_bytes({bytes, size_});  // every label, then the root byte
+    return;
+  }
+  out.write_bytes({bytes, prefix});
+  out.write_u16(static_cast<std::uint16_t>(0xC000 | pointer));
 }
 
 std::string DnsName::to_string() const {
   if (is_root()) return ".";
-  const std::uint8_t* bytes = data();
-  std::string out;
-  out.reserve(size_ - 2u);  // labels plus the dots between them
-  for (std::size_t at = 0; bytes[at] != 0; at += 1 + bytes[at]) {
-    if (at != 0) out.push_back('.');
-    out.append(reinterpret_cast<const char*>(bytes + at + 1), bytes[at]);
+  std::string out(size_ - 2u, '.');  // the labels, with a dot between each two
+  auto* at = reinterpret_cast<std::uint8_t*>(out.data());
+  for (const std::uint8_t* label = data(); *label != 0; label += 1 + *label) {
+    net::copy_bytes(at, label + 1, *label);
+    at += 1 + *label;  // past the label and the dot after it
   }
   return out;
 }
@@ -271,7 +323,7 @@ std::string DnsName::canonical() const {
 
 std::size_t DnsName::hash() const noexcept {
   if (is_root()) return std::hash<std::string_view>{}(".");
-  char text[kMaxWireLength] = {};
+  char text[kMaxWireLength];  // written front to back, read up to the length returned
   return std::hash<std::string_view>{}(std::string_view(text, write_canonical(wire(), text)));
 }
 

@@ -20,31 +20,45 @@
 namespace drongo::dns {
 
 /// Compression state threaded through one message encode: the buffer
-/// offsets where a name suffix was first written, in write order. The table
-/// stores no names: a probe compares the candidate suffix label by label,
-/// case-insensitively, against the wire bytes already at each offset,
-/// following compression pointers.
+/// offsets where a name suffix was first written, in write order, each with
+/// that suffix's uncompressed wire length. The table stores no names: a
+/// probe compares the candidate suffix label by label, case-insensitively,
+/// against the wire bytes already at an offset, following compression
+/// pointers. Equal names have equal wire lengths, so a probe only visits
+/// the offsets recorded with its suffix's length.
 ///
 /// The first kInlineCapacity offsets live in the object itself, so a
 /// message encode keeps its table on the stack; a larger message spills the
-/// whole list into a vector once.
+/// whole list into vectors once.
 class NameOffsets {
  public:
   static constexpr std::size_t kInlineCapacity = 32;
 
   NameOffsets() = default;
+  /// Offsets recorded without lengths (see push_back(std::uint16_t)).
   NameOffsets(std::initializer_list<std::uint16_t> offsets) {
     for (const std::uint16_t at : offsets) push_back(at);
   }
 
-  void push_back(std::uint16_t at) {
+  /// Records that a suffix of `length` wire bytes (root byte included)
+  /// starts at `at`.
+  void push_back(std::uint16_t at, std::uint8_t length) {
+    length_filter_ |= length == kAnyLength ? ~std::uint64_t{0} : filter_bit(length);
     if (spill_.empty() && size_ < kInlineCapacity) {
-      inline_[size_++] = at;
+      inline_[size_] = at;
+      inline_lengths_[size_++] = length;
       return;
     }
-    if (spill_.empty()) spill_.assign(inline_.begin(), inline_.begin() + size_);
+    if (spill_.empty()) {
+      spill_.assign(inline_.begin(), inline_.begin() + size_);
+      spill_lengths_.assign(inline_lengths_.begin(), inline_lengths_.begin() + size_);
+    }
     spill_.push_back(at);
+    spill_lengths_.push_back(length);
   }
+  /// Records an offset whose suffix length is not known: every probe
+  /// visits it.
+  void push_back(std::uint16_t at) { push_back(at, kAnyLength); }
 
   /// The recorded offsets, in write order.
   [[nodiscard]] std::span<const std::uint16_t> view() const {
@@ -54,6 +68,13 @@ class NameOffsets {
   [[nodiscard]] auto begin() const { return view().begin(); }
   [[nodiscard]] auto end() const { return view().end(); }
 
+  /// The first recorded offset at which `wire` holds the name suffix at
+  /// `suffix` (length-prefixed labels ending in the root byte, `length`
+  /// bytes), compared case-insensitively; -1 when none does.
+  [[nodiscard]] int find(std::span<const std::uint8_t> wire, const std::uint8_t* suffix,
+                         std::size_t length) const;
+
+  /// Equal when the same offsets were recorded in the same order.
   friend bool operator==(const NameOffsets& a, const NameOffsets& b) {
     const auto x = a.view();
     const auto y = b.view();
@@ -61,9 +82,29 @@ class NameOffsets {
   }
 
  private:
-  std::array<std::uint16_t, kInlineCapacity> inline_{};
+  // No suffix is 0 bytes long: the root alone is 1.
+  static constexpr std::uint8_t kAnyLength = 0;
+
+  // A probe first tests its length's bit in length_filter_: a clear bit
+  // means no offset was recorded with that length (modulo 64), so most
+  // probes scan nothing.
+  static constexpr std::uint64_t filter_bit(std::size_t length) {
+    return std::uint64_t{1} << (length % 64);
+  }
+
+  [[nodiscard]] std::span<const std::uint8_t> lengths() const {
+    return spill_.empty() ? std::span<const std::uint8_t>(inline_lengths_.data(), size_)
+                          : std::span<const std::uint8_t>(spill_lengths_);
+  }
+
+  // Only the first size_ entries are written; the rest is never read, so
+  // construction leaves it uninitialized.
+  std::array<std::uint16_t, kInlineCapacity> inline_;
+  std::array<std::uint8_t, kInlineCapacity> inline_lengths_;
   std::size_t size_ = 0;
+  std::uint64_t length_filter_ = 0;
   std::vector<std::uint16_t> spill_;  // every offset, once inline_ overflowed
+  std::vector<std::uint8_t> spill_lengths_;
 };
 
 /// A DNS domain name: an ordered sequence of labels.
@@ -134,16 +175,22 @@ class DnsName {
     std::size_t count_;
   };
 
-  /// The root name (zero labels).
-  DnsName() noexcept = default;
+  /// The root name (zero labels). Writes only the root byte: the rest of
+  /// the buffer is never read before it is written.
+  DnsName() noexcept { inline_bytes_[0] = 0; }
 
   /// Builds from explicit labels. Throws ParseError on invariant violations.
   explicit DnsName(const std::vector<std::string>& labels);
 
   DnsName(const DnsName& other) { assign(other.data(), other.size_, other.label_count_); }
-  DnsName(DnsName&& other) noexcept;
+  DnsName(DnsName&& other) noexcept { steal(other); }
   DnsName& operator=(const DnsName& other);
-  DnsName& operator=(DnsName&& other) noexcept;
+  DnsName& operator=(DnsName&& other) noexcept {
+    if (this == &other) return *this;
+    release();
+    steal(other);
+    return *this;
+  }
   ~DnsName() { release(); }
 
   /// Parses presentation format ("www.example.com", trailing dot optional,
@@ -157,7 +204,9 @@ class DnsName {
   /// Decodes a wire-format name starting at the reader's cursor, following
   /// compression pointers (RFC 1035 §4.1.4). The cursor advances past the
   /// in-place portion only. Throws ParseError on pointer loops, forward
-  /// pointers, or truncation.
+  /// pointers, or truncation, and BoundsError on a label that runs off the
+  /// buffer. Labels are validated one by one; each run of labels that sits
+  /// in place is copied once.
   static DnsName decode(net::ByteReader& reader);
 
   /// Encodes in wire format, compressing against names already written:
@@ -167,6 +216,10 @@ class DnsName {
   /// suffixes this call writes in place at offsets < 0x4000 are appended to
   /// `offsets`.
   void encode(net::ByteWriter& writer, NameOffsets* offsets = nullptr) const;
+
+  /// encode() through a cursor with room for wire_length() more bytes: the
+  /// uncompressed prefix goes out in one copy, then at most one pointer.
+  void encode(net::ByteCursor& out, NameOffsets* offsets) const;
 
   /// The labels, leftmost first, as views into this name.
   [[nodiscard]] Labels labels() const {
@@ -244,12 +297,24 @@ class DnsName {
   /// Copies `size` wire bytes in; the object must hold no heap block.
   void assign(const std::uint8_t* wire, std::size_t size, std::size_t label_count);
   /// Takes over `other`'s bytes or heap block; the object must hold no
-  /// heap block.
-  void steal(DnsName& other) noexcept;
+  /// heap block. Inline: a message build or decode moves every name.
+  void steal(DnsName& other) noexcept {
+    size_ = other.size_;
+    label_count_ = other.label_count_;
+    // Either the heap pointer or the inline bytes; both live in inline_bytes_.
+    net::copy_bytes(inline_bytes_, other.inline_bytes_,
+                    on_heap() ? sizeof(std::uint8_t*) : size_);
+    if (other.on_heap()) {  // the block is ours now: leave `other` the root
+      other.size_ = 1;
+      other.label_count_ = 0;
+      other.inline_bytes_[0] = 0;
+    }
+  }
 
   // The wire bytes when size_ <= kInlineCapacity; otherwise the first
-  // sizeof(pointer) bytes hold the heap block's address.
-  std::uint8_t inline_bytes_[kInlineCapacity] = {};
+  // sizeof(pointer) bytes hold the heap block's address. Bytes past size_
+  // are never read, so they are left uninitialized.
+  std::uint8_t inline_bytes_[kInlineCapacity];
   std::uint8_t size_ = 1;
   std::uint8_t label_count_ = 0;
 };

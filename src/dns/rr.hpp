@@ -85,8 +85,20 @@ struct ResourceRecord {
   /// participate in compression via `offsets` (nullptr disables).
   void encode(net::ByteWriter& writer, NameOffsets* offsets) const;
 
+  /// encode() through a cursor with room for max_wire_length() more bytes.
+  void encode(net::ByteCursor& out, NameOffsets* offsets) const;
+
+  /// The record's wire length without compression: the most encode()
+  /// writes.
+  [[nodiscard]] std::size_t max_wire_length() const;
+
   /// Decodes one record. For unknown types the RDATA is kept raw.
   static ResourceRecord decode(net::ByteReader& reader);
+
+  /// decode() as a new last record of `section`, built there in place:
+  /// the message codec decodes each record straight into its section.
+  static ResourceRecord& decode_into(net::ByteReader& reader,
+                                     std::vector<ResourceRecord>& section);
 
   [[nodiscard]] std::string to_string() const;
 

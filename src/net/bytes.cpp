@@ -11,6 +11,11 @@ void throw_overrun(std::size_t wanted, std::size_t position, std::size_t size) {
                     std::to_string(position) + " overruns buffer of " + std::to_string(size));
 }
 
+void throw_full(std::size_t wanted, std::size_t position, std::size_t size) {
+  throw BoundsError("write of " + std::to_string(wanted) + " bytes at offset " +
+                    std::to_string(position) + " overruns buffer of " + std::to_string(size));
+}
+
 }  // namespace detail
 
 void ByteReader::seek(std::size_t offset) {

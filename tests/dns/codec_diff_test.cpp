@@ -2,8 +2,10 @@
 // (DnsName::encode with NameOffsets) against a reference copy of the
 // earlier encoder, which kept a std::map from the lowercased dotted suffix
 // to its offset. Over a seeded corpus of messages (mixed case, CNAME chains,
-// PTR answers, NS/SOA rdata, repeated labels, names past offset 0x4000) the
-// two must produce byte-identical wires. The one intended difference is the
+// PTR answers, NS/SOA rdata, repeated labels, names past offset 0x4000,
+// suffixes of equal length but other bytes, more offsets than NameOffsets
+// holds inline, 0x20 owners against lowercase RDATA) the two must produce
+// byte-identical wires. The one intended difference is the
 // dotted-key conflation the reference has, covered by its own regression
 // test below.
 #include <gtest/gtest.h>
@@ -317,6 +319,100 @@ TEST(CodecTest, LabelContainingADotIsNotALabelBoundary) {
   EXPECT_EQ(back.questions[0].name.label_count(), 2u);
   // Only the shared suffix "c" may be compressed.
   EXPECT_NE(m.encode(), reference_encode(m));
+}
+
+TEST(CodecTest, EqualLengthSuffixesOfOtherBytesDoNotMatch) {
+  // The probe visits only offsets recorded with the candidate suffix's
+  // length; these names share lengths but not bytes (aa.cdn.sim and
+  // bb.cdn.sim, b.cdn.sim and a.cdn.sim), or differ by a multiple of 64
+  // bytes, which share a bit in the probe's length filter.
+  const std::string long_label(63, 'q');
+  const char* const texts[] = {"aa.cdn.sim", "bb.cdn.sim", "a.cdn.sim", "B.cdn.SIM",
+                               "ab.cdm.sim", "ab.cdn.sin", "xy.zz",      "yx.zz"};
+  net::Rng rng(34);
+  for (int i = 0; i < 100; ++i) {
+    Message m;
+    m.header.qr = true;
+    m.questions.push_back(
+        {DnsName::must_parse(texts[rng.index(std::size(texts))]), RrType::kA, RrClass::kIn});
+    for (int k = 0; k < 6; ++k) {
+      const DnsName owner = DnsName::must_parse(texts[rng.index(std::size(texts))]);
+      if (rng.chance(0.3)) {
+        // Wire lengths 64 bytes apart: long_label.x.zz against x.zz.
+        m.answers.push_back(ResourceRecord::cname(
+            owner, DnsName::must_parse(long_label + "." + texts[rng.index(std::size(texts))])));
+      } else {
+        m.answers.push_back(ResourceRecord::a(owner, net::Ipv4Addr(10, 0, 0, 1)));
+      }
+    }
+    const auto wire = m.encode();
+    ASSERT_EQ(wire, reference_encode(m)) << "message " << i;
+    expect_same(Message::decode(wire), m);
+  }
+}
+
+TEST(CodecTest, MoreOffsetsThanInlineCapacitySpillLikeTheReference) {
+  // Forty distinct two-label names record 80 offsets, past NameOffsets'
+  // inline 32; later records point back to offsets on both sides of the
+  // spill.
+  Message m;
+  m.header.qr = true;
+  m.questions.push_back({DnsName::must_parse("q.zone"), RrType::kA, RrClass::kIn});
+  std::vector<DnsName> owners;
+  for (int i = 0; i < 40; ++i) {
+    owners.push_back(DnsName::must_parse("n" + std::to_string(i) + ".z" + std::to_string(i)));
+  }
+  for (const DnsName& owner : owners) {
+    m.answers.push_back(ResourceRecord::a(owner, net::Ipv4Addr(10, 0, 0, 2)));
+  }
+  for (const int i : {0, 5, 15, 16, 17, 31, 32, 33, 39}) {
+    m.additional.push_back(ResourceRecord::cname(
+        DnsName::must_parse("x.Z" + std::to_string(i)), owners[static_cast<std::size_t>(i)]));
+  }
+  const auto wire = m.encode();
+  EXPECT_EQ(wire, reference_encode(m));
+  expect_same(Message::decode(wire), m);
+
+  NameOffsets offsets;
+  net::ByteWriter w;
+  for (const DnsName& owner : owners) owner.encode(w, &offsets);
+  EXPECT_EQ(offsets.view().size(), 80u);
+  const std::size_t before = w.size();
+  owners[3].encode(w, &offsets);   // recorded inline
+  owners[30].encode(w, &offsets);  // recorded after the spill
+  EXPECT_EQ(w.size() - before, 4u);  // two pointers
+}
+
+TEST(CodecTest, MixedCaseOwnersCompressAgainstLowercaseRdata) {
+  // A stub's DNS 0x20 query name comes back as the owner of every answer,
+  // in its mixed case, while CNAME and PTR targets are lowercase names
+  // sharing its suffixes: compression must match across case.
+  net::Rng rng(20);
+  const auto flip = [&] { return rng.chance(0.5); };
+  for (int i = 0; i < 200; ++i) {
+    NameSource names(rng);
+    const DnsName zone = DnsName::must_parse("cdn.sim");
+    const DnsName lower = DnsName::must_parse(names.under(zone).canonical());
+    const DnsName owner = lower.with_swapped_case(flip);
+    Message m;
+    m.header.qr = true;
+    m.questions.push_back({owner, i % 2 == 0 ? RrType::kA : RrType::kPtr, RrClass::kIn});
+    const DnsName target = DnsName::must_parse(names.under(zone).canonical());
+    if (i % 2 == 0) {
+      m.answers.push_back(ResourceRecord::cname(owner, target));
+      m.answers.push_back(ResourceRecord::a(target.with_swapped_case(flip),
+                                            net::Ipv4Addr(21, 8, 84, 10)));
+    } else {
+      m.answers.push_back(ResourceRecord::ptr(owner, lower));
+      m.answers.push_back(ResourceRecord::ptr(owner, target));
+    }
+    const auto wire = m.encode();
+    ASSERT_EQ(wire, reference_encode(m)) << "message " << i;
+    const Message back = Message::decode(wire);
+    expect_same(back, m);
+    // Owners keep the case they were sent in.
+    EXPECT_TRUE(std::ranges::equal(back.answers[0].name.wire(), owner.wire()));
+  }
 }
 
 TEST(CodecTest, NameOffsetsListsWhereSuffixesStart) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +55,30 @@ TEST(DnsNameTest, CaseInsensitiveEqualityAndHash) {
   EXPECT_EQ(std::hash<DnsName>{}(a), std::hash<DnsName>{}(b));
   // Original case preserved for display.
   EXPECT_EQ(a.to_string(), "WWW.Example.COM");
+}
+
+TEST(DnsNameTest, EqualityFoldsOnlyAsciiLettersForEveryBytePair) {
+  // Equality compares eight bytes at a time; a byte-wise fold of 'A'-'Z'
+  // is the reference. Every pair of label bytes is placed at the first and
+  // last byte of labels whose names are 7, 8, 9, 16 and 17 wire bytes long,
+  // covering the byte-wise path, the overlapping last word and the words
+  // before it.
+  const auto fold = [](int c) { return c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c; };
+  for (const std::size_t length : {5u, 6u, 7u, 14u, 15u}) {
+    std::vector<std::string> x = {std::string(length, 'q')};
+    std::vector<std::string> y = x;
+    for (const std::size_t at : {std::size_t{0}, length - 1}) {
+      for (int a = 0; a < 256; ++a) {
+        for (int b = 0; b < 256; ++b) {
+          x[0][at] = static_cast<char>(a);
+          y[0][at] = static_cast<char>(b);
+          ASSERT_EQ(DnsName(x) == DnsName(y), fold(a) == fold(b))
+              << "bytes " << a << " and " << b << " at " << at << " of " << length;
+        }
+      }
+      x[0][at] = y[0][at] = 'q';
+    }
+  }
 }
 
 TEST(DnsNameTest, WireRoundTripWithoutCompression) {
@@ -280,6 +305,50 @@ TEST(DnsNameTest, LabelViews) {
   EXPECT_EQ(name.labels().size(), 3u);
   EXPECT_EQ(name.labels().front(), "www");
   EXPECT_TRUE(DnsName().labels().empty());
+}
+
+/// The presentation parser as it was when it split the text at each dot:
+/// the labels go through the label-vector constructor, which applies the
+/// same 63- and 255-byte limits.
+std::optional<DnsName> reference_parse(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  if (text == ".") return DnsName();
+  if (text.back() == '.') text.remove_suffix(1);
+  std::vector<std::string> labels;
+  for (;;) {
+    const std::size_t dot = text.find('.');
+    labels.emplace_back(text.substr(0, dot));
+    if (dot == std::string_view::npos) break;
+    text.remove_prefix(dot + 1);
+  }
+  try {
+    return DnsName(labels);
+  } catch (const net::ParseError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(DnsNameTest, ParseMatchesTheSplittingReference) {
+  // One pass over one copy of the text replaced a split per dot: every
+  // accept, reject and wire byte must agree, at the label and name limits.
+  const std::string l63(63, 'a');
+  const std::string l64(64, 'b');
+  std::vector<std::string> texts = {
+      "", ".", "..", "a", "a.", "a..", ".a", "a..b", "A.b.C.", "x-1.Cdn.sim", l63, l64,
+      l63 + ".x", l64 + ".x", "x." + l63, "x." + l64 + ".", "1.2.3.4.in-addr.arpa."};
+  for (std::size_t length = 250; length <= 256; ++length) {
+    texts.push_back(sized_name(length));
+    texts.push_back(sized_name(length) + ".");
+  }
+  for (const std::string& text : texts) {
+    const auto got = DnsName::parse(text);
+    const auto want = reference_parse(text);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "'" << text << "'";
+    if (got) {
+      EXPECT_TRUE(std::ranges::equal(got->wire(), want->wire())) << "'" << text << "'";
+      EXPECT_EQ(got->label_count(), want->label_count()) << "'" << text << "'";
+    }
+  }
 }
 
 TEST(DnsNameTest, SwappedCaseKeepsEqualityAndFlipsOnlyLetters) {

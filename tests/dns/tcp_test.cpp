@@ -32,7 +32,7 @@ TEST(TruncationTest, MaxPayloadRules) {
   Message no_edns;
   EXPECT_EQ(max_udp_payload(no_edns), 512u);
   Message with_edns;
-  with_edns.edns = Edns{};
+  with_edns.edns.emplace();
   with_edns.edns->udp_payload_size = 4096;
   EXPECT_EQ(max_udp_payload(with_edns), 4096u);
   // Sub-512 advertisements are clamped up per RFC 6891.

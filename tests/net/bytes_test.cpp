@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "net/error.hpp"
 
 namespace drongo::net {
@@ -46,6 +49,46 @@ TEST(ByteWriterTest, StringAndBytesAppend) {
   EXPECT_EQ(taken.size(), 5u);
   EXPECT_EQ(taken[0], 'a');
   EXPECT_EQ(taken[4], 2);
+}
+
+TEST(ByteCursorTest, WritesBigEndianAndRefusesToPassTheEnd) {
+  std::vector<std::uint8_t> buffer(10, 0xEE);
+  ByteCursor c{std::span(buffer).first(9), 1};  // byte 0 was written before
+  c.write_u8(0x01);
+  c.write_u16(0x0203);
+  c.write_u32(0x04050607);
+  EXPECT_EQ(c.position(), 8u);
+  EXPECT_EQ(c.written().size(), 8u);
+  EXPECT_THROW(c.write_u16(0x0809), BoundsError);  // one byte left
+  const std::uint8_t two[] = {8, 9};
+  EXPECT_THROW(c.write_bytes(two), BoundsError);
+  EXPECT_EQ(c.position(), 8u);
+  c.write_string("x");
+  c.patch_u16(1, 0xAABB);
+  EXPECT_THROW(c.patch_u16(8, 0), BoundsError);  // past what was written
+  EXPECT_EQ(buffer, (std::vector<std::uint8_t>{0xEE, 0xAA, 0xBB, 3, 4, 5, 6, 7, 'x', 0xEE}));
+}
+
+TEST(ByteWriterTest, ExtendThenFinishKeepsWhatTheCursorWrote) {
+  ByteWriter w;
+  w.write_u8(1);
+  ByteCursor c = w.extend(10);
+  c.write_u16(0x0203);
+  w.finish(c);
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
+}
+
+TEST(CopyBytesTest, CopiesEveryLengthExactly) {
+  std::vector<std::uint8_t> source(40);
+  for (std::size_t i = 0; i < source.size(); ++i) source[i] = static_cast<std::uint8_t>(i + 1);
+  for (std::size_t n = 0; n <= 32; ++n) {
+    std::vector<std::uint8_t> target(40, 0);
+    copy_bytes(target.data() + 1, source.data(), n);
+    for (std::size_t i = 0; i < target.size(); ++i) {
+      const std::uint8_t want = i >= 1 && i <= n ? source[i - 1] : 0;
+      ASSERT_EQ(target[i], want) << "n " << n << " byte " << i;
+    }
+  }
 }
 
 TEST(ByteReaderTest, RoundTripsWriterOutput) {

@@ -10,8 +10,9 @@
 #
 #   --short   tier-1 time budget: every sanitizer stage runs only the
 #             concurrency|faults|static|obs|serving|lpm|sharing|hedging|daemon|ipv6|codec|engine|measure
-#             labels instead of the full suite. (`codec` is the name-compression
-#             differential and the allocation budget; `engine` is the
+#             labels instead of the full suite. (`codec` is the wire codec's unit
+#             suites, fuzz seeds, name-compression differential, decoder
+#             reference and the allocation budget; `engine` is the
 #             training-window and decision-engine suites; `measure` is the
 #             trial suite with the GWTW race.)
 #   --jobs N  parallel build/test jobs (default: nproc).
