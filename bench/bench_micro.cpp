@@ -2,19 +2,23 @@
 //
 // These quantify the per-query costs a deployed Drongo adds: DNS wire
 // codec (A-record and PTR messages), ECS rewriting, resolution through the
-// full chain (an A lookup and a PTR lookup), decision-engine
+// full chain (an A lookup and a PTR lookup), the serving path's scoped
+// cache hit and packet-cache miss cycle, decision-engine
 // updates and choices, and the simulator's own primitives (routing, RTT).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/decision.hpp"
 #include "core/drongo.hpp"
 #include "dns/message.hpp"
+#include "dns/packet_cache.hpp"
 #include "dns/reverse.hpp"
 #include "measure/testbed.hpp"
 #include "measure/trial.hpp"
@@ -245,6 +249,83 @@ void BM_PtrResolutionChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PtrResolutionChain);
+
+/// A resolver with the scoped answer cache on, every (content name, client
+/// /24) already resolved once: each query below is the daemon's miss path
+/// on a warm resolver, as in the serve_scoped workload.
+struct ServingWorld {
+  ServingWorld() {
+    measure::TestbedConfig config = measure::TestbedConfig::planetlab();
+    config.client_count = 8;
+    config.serving.enable_cache = true;
+    config.serving.shards = 8;
+    config.serving.coalesce = true;
+    testbed = std::make_unique<measure::Testbed>(config);
+    testbed->resolver().set_time_ms(0);
+    for (std::size_t p = 0; p < testbed->provider_count(); ++p) {
+      for (const auto& name : testbed->content_names(p)) {
+        for (const net::Ipv4Addr client : testbed->clients()) {
+          wires.push_back(
+              dns::Message::make_query(9, name, net::IpPrefix(net::Prefix(client, 24))).encode());
+          sources.push_back(client);
+          (void)testbed->resolver().handle(dns::Message::decode(wires.back()), client);
+        }
+      }
+    }
+  }
+  std::unique_ptr<measure::Testbed> testbed;
+  std::vector<std::vector<std::uint8_t>> wires;
+  std::vector<net::Ipv4Addr> sources;
+};
+
+void BM_ScopedCacheHit(benchmark::State& state) {
+  // Decode -> PublicResolver::handle (a scoped cache / LPM hit) -> encode
+  // into a reused buffer, rotating over every cached (name, /24).
+  static ServingWorld world;
+  auto& resolver = world.testbed->resolver();
+  std::vector<std::uint8_t> out;
+  resolver.handle(dns::Message::decode(world.wires[0]), world.sources[0]).encode_to(out);
+  std::size_t i = 0;
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    resolver.handle(dns::Message::decode(world.wires[i]), world.sources[i]).encode_to(out);
+    benchmark::DoNotOptimize(out.data());
+    if (++i == world.wires.size()) i = 0;
+  }
+  state.SetLabel(std::to_string(world.wires.size()) + " cached queries");
+}
+BENCHMARK(BM_ScopedCacheHit);
+
+void BM_PacketCacheMissCycle(benchmark::State& state) {
+  // The daemon's packet cache under serve_scoped-like traffic: 8x more
+  // distinct query wires than the 8192 entries, taken in turn, so every
+  // probe misses and stores, and every 8192nd store flushes the generation
+  // (its cost amortized over the stores).
+  constexpr std::size_t kCapacity = 8192;
+  constexpr std::size_t kWires = 8 * kCapacity;
+  const auto name = dns::DnsName::must_parse("img.googlecdn.sim");
+  std::vector<std::vector<std::uint8_t>> wires;
+  wires.reserve(kWires);
+  for (std::uint32_t i = 0; i < kWires; ++i) {
+    const net::Prefix subnet(net::Ipv4Addr((20u << 24) | (i << 8)), 24);
+    wires.push_back(dns::Message::make_query(7, name, net::IpPrefix(subnet)).encode());
+  }
+  const std::vector<std::uint8_t> reply(110, 0x5a);
+  dns::PacketCache cache(kCapacity, 1'000);
+  std::vector<std::uint8_t> key;
+  const auto cycle = [&](const std::vector<std::uint8_t>& wire) {
+    dns::PacketCache::make_key(wire, /*udp=*/true, key);
+    if (cache.find(key, 0).empty()) cache.store(key, reply, 0);
+  };
+  for (const auto& wire : wires) cycle(wire);  // settle the arena and key buffer
+  std::size_t i = 0;
+  AllocationCounter allocs(state);
+  for (auto _ : state) {
+    cycle(wires[i]);
+    if (++i == kWires) i = 0;
+  }
+}
+BENCHMARK(BM_PacketCacheMissCycle);
 
 void BM_RttColdCache(benchmark::State& state) {
   auto& testbed = *micro_world().testbed;

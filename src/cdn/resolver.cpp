@@ -68,11 +68,13 @@ std::optional<net::Ipv4Addr> PublicResolver::authoritative_for(
 dns::Message PublicResolver::answer_from(const dns::Message& query,
                                          const dns::Question& q, dns::Rcode rcode,
                                          const std::vector<net::Ipv4Addr>& addresses,
-                                         int scope_length, bool client_sent_ecs) const {
+                                         int scope_length, std::uint32_t ttl_seconds,
+                                         bool client_sent_ecs) const {
   dns::Message response = dns::Message::make_response(query, rcode, scope_length);
   response.header.ra = true;
+  response.answers.reserve(addresses.size());
   for (net::Ipv4Addr addr : addresses) {
-    response.answers.push_back(dns::ResourceRecord::a(q.name, addr, 30));
+    response.answers.push_back(dns::ResourceRecord::a(q.name, addr, ttl_seconds));
   }
   if (!client_sent_ecs) response.clear_client_subnet();
   return response;
@@ -130,7 +132,10 @@ dns::Message PublicResolver::handle(const dns::Message& query, net::Ipv4Addr sou
   }
 
   if (const auto hit = cache_.lookup(q.name, ecs, now_ms_)) {
-    return answer_from(query, q, hit->rcode, hit->addresses, hit->scope.length(),
+    // The entry's remaining lifetime, rounded up: a live entry
+    // (expiry_ms > now_ms_) never answers with TTL 0.
+    const auto ttl = static_cast<std::uint32_t>((hit->expiry_ms - now_ms_ + 999) / 1000);
+    return answer_from(query, q, hit->rcode, hit->addresses, hit->scope.length(), ttl,
                        client_sent_ecs);
   }
 
@@ -146,7 +151,7 @@ dns::Message PublicResolver::handle(const dns::Message& query, net::Ipv4Addr sou
   const auto outcome = flight.wait();
   if (outcome.usable) {
     return answer_from(query, q, outcome.rcode, outcome.addresses,
-                       outcome.scope_length, client_sent_ecs);
+                       outcome.scope_length, outcome.ttl_seconds, client_sent_ecs);
   }
   // The leader died before producing a shareable answer; resolve alone
   // rather than re-queueing (one failed flight must not cascade).
@@ -162,12 +167,13 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
                                               dns::ShardedDnsCache::Flight* flight) {
   // Shares the final answer with coalesced followers on every exit path.
   const auto publish = [&](dns::Rcode rcode, std::vector<net::Ipv4Addr> addresses,
-                           int scope_length) {
+                           int scope_length, std::uint32_t ttl_seconds) {
     if (flight == nullptr) return;
     dns::ShardedDnsCache::FlightOutcome outcome;
     outcome.rcode = rcode;
     outcome.addresses = std::move(addresses);
     outcome.scope_length = scope_length;
+    outcome.ttl_seconds = ttl_seconds;
     outcome.usable = true;
     flight->publish(std::move(outcome));
   };
@@ -185,7 +191,7 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
       // A dangling chain (or unknown name) is SERVFAIL when mid-chase,
       // REFUSED when we never had anywhere to go.
       const auto rcode = depth == 0 ? dns::Rcode::kRefused : dns::Rcode::kServFail;
-      publish(rcode, {}, 0);
+      publish(rcode, {}, 0, 0);
       return dns::Message::make_response(query, rcode);
     }
     dns::Message upstream = dns::Message::make_query(query.header.id, current, ecs, q.type);
@@ -201,7 +207,7 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
       // (classic singleflight) instead of stampeding a failing server.
       upstream_.add(kUpstreamFailures);
       if (registry_ != nullptr) registry_->add("cdn.resolver.upstream_failures");
-      publish(dns::Rcode::kServFail, {}, 0);
+      publish(dns::Rcode::kServFail, {}, 0, 0);
       return dns::Message::make_response(query, dns::Rcode::kServFail);
     }
     if (upstream_reply.header.rcode != dns::Rcode::kNoError) break;
@@ -227,7 +233,7 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
   if (!resolved && upstream_reply.header.rcode == dns::Rcode::kNoError &&
       !has_address(upstream_reply) && !chain.empty()) {
     // Chase depth exhausted: a CNAME loop.
-    publish(dns::Rcode::kServFail, {}, 0);
+    publish(dns::Rcode::kServFail, {}, 0, 0);
     return dns::Message::make_response(query, dns::Rcode::kServFail);
   }
 
@@ -264,12 +270,14 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
   const std::vector<net::Ipv4Addr> addresses =
       caching || flight != nullptr ? response.answer_addresses()
                                    : std::vector<net::Ipv4Addr>();
+  // The answer lives as long as its shortest record, in the cache and for
+  // the followers alike.
+  std::uint32_t ttl = UINT32_MAX;
+  for (const auto& rr : response.answers) ttl = std::min(ttl, rr.ttl);
   if (caching) {
     const net::IpPrefix cache_scope =
         scope ? net::IpPrefix(ecs.network(), *scope) : ecs;
     if (response.header.rcode == dns::Rcode::kNoError && !addresses.empty()) {
-      std::uint32_t ttl = UINT32_MAX;
-      for (const auto& rr : response.answers) ttl = std::min(ttl, rr.ttl);
       cache_.insert(q.name, cache_scope, addresses, ttl, now_ms_);
     } else if (serving_.negative_cache &&
                (response.header.rcode == dns::Rcode::kNxDomain ||
@@ -283,7 +291,7 @@ dns::Message PublicResolver::resolve_upstream(const dns::Message& query,
     }
   }
   publish(response.header.rcode, addresses,
-          foreign_family ? 0 : scope.value_or(ecs.length()));
+          foreign_family ? 0 : scope.value_or(ecs.length()), ttl);
 
   // When the client sent no ECS, strip the option we added on its behalf
   // (the client never asked to see it).

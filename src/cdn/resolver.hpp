@@ -123,11 +123,13 @@ class PublicResolver : public dns::DnsServer {
                                 dns::ShardedDnsCache::Flight* flight);
 
   /// Synthesizes a client response from a cache entry or flight outcome
-  /// (final addresses only; CNAME chains are not replayed).
+  /// (final addresses only, each with `ttl_seconds`; CNAME chains are not
+  /// replayed).
   dns::Message answer_from(const dns::Message& query, const dns::Question& q,
                            dns::Rcode rcode,
                            const std::vector<net::Ipv4Addr>& addresses,
-                           int scope_length, bool client_sent_ecs) const;
+                           int scope_length, std::uint32_t ttl_seconds,
+                           bool client_sent_ecs) const;
 
   dns::DnsTransport* transport_;
   net::Ipv4Addr address_;

@@ -30,7 +30,7 @@ void DnsCache::erase_from_trie(const std::string& canonical_qname,
   --size_;
 }
 
-std::optional<DnsCache::Entry> DnsCache::lookup(const std::string& canonical_qname,
+std::optional<DnsCache::Entry> DnsCache::lookup(std::string_view canonical_qname,
                                                 const net::IpPrefix& client_subnet,
                                                 std::uint64_t now_ms) {
   const auto nit = names_.find(canonical_qname);
@@ -42,29 +42,37 @@ std::optional<DnsCache::Entry> DnsCache::lookup(const std::string& canonical_qna
   // scope containing it, most specific first — the RFC 7871 §7.3.1 candidate
   // order, so the first live entry is the answer and a scope-zero answer can
   // never shadow a tailored one. Dead entries on the path are erased in
-  // passing so they stop counting toward size() and eviction pressure.
+  // passing so they stop counting toward size() and eviction pressure; the
+  // trie itself is dropped only after the walk, which reads its scratch.
+  ScopeTrie& trie = nit->second;
+  std::optional<Entry> found;
   std::uint64_t visited = 0;
-  const auto chain =
-      nit->second.match_chain(client_subnet.network(), client_subnet.length(), &visited);
+  trie.visit_chain(
+      client_subnet.network(), client_subnet.length(),
+      [&](const net::IpPrefix& scope, Stored& stored) {
+        if (stored.entry.expiry_ms <= now_ms) {
+          DRONGO_CACHE_BUMP(expired);
+          lru_.erase(stored.lru_position);
+          trie.erase(scope);
+          DRONGO_LPM_BUMP(erases);
+          --size_;
+          return false;
+        }
+        lru_.splice(lru_.begin(), lru_, stored.lru_position);
+        if (stored.entry.negative) {
+          DRONGO_CACHE_BUMP(negative_hits);
+        } else {
+          DRONGO_CACHE_BUMP(hits);
+        }
+        found = stored.entry;
+        return true;
+      },
+      &visited);
   DRONGO_LPM_BUMP(lookups);
   DRONGO_LPM_BUMP(node_visits, visited);
-  for (const auto& match : chain) {
-    if (match.value->entry.expiry_ms <= now_ms) {
-      DRONGO_CACHE_BUMP(expired);
-      lru_.erase(match.value->lru_position);
-      erase_from_trie(canonical_qname, match.prefix);
-      continue;
-    }
-    lru_.splice(lru_.begin(), lru_, match.value->lru_position);
-    if (match.value->entry.negative) {
-      DRONGO_CACHE_BUMP(negative_hits);
-    } else {
-      DRONGO_CACHE_BUMP(hits);
-    }
-    return match.value->entry;
-  }
-  DRONGO_CACHE_BUMP(misses);
-  return std::nullopt;
+  if (trie.empty()) names_.erase(nit);
+  if (!found) DRONGO_CACHE_BUMP(misses);
+  return found;
 }
 
 void DnsCache::store(Key key, Entry entry, std::uint64_t now_ms) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/name.hpp"
@@ -100,7 +101,8 @@ class DnsCache {
   }
   /// As above for a qname already in DnsName::canonical() form (lowercase
   /// dotted); the boundary entry point for callers that canonicalize once.
-  std::optional<Entry> lookup(const std::string& canonical_qname,
+  /// A hit allocates only the returned entry's address list.
+  std::optional<Entry> lookup(std::string_view canonical_qname,
                               const net::IpPrefix& client_subnet, std::uint64_t now_ms);
 
   /// Inserts a positive answer with the server-provided scope and TTL.
@@ -157,7 +159,7 @@ class DnsCache {
   void bump(std::uint64_t CacheStats::* field, const char* name);
   void bump_lpm(std::uint64_t LpmStats::* field, const char* name, std::uint64_t delta = 1);
 
-  std::map<std::string, ScopeTrie> names_;
+  std::map<std::string, ScopeTrie, std::less<>> names_;  // probed by string_view
   std::size_t size_ = 0;  ///< live entries across all tries
   std::list<Key> lru_;    ///< recency order: front = most recently used
   std::size_t max_entries_;

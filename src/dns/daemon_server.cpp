@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <string>
 #include <unordered_map>
 
 #include "dns/message.hpp"
+#include "dns/packet_cache.hpp"
 #include "dns/tcp.hpp"
 #include "net/clock.hpp"
 #include "net/error.hpp"
@@ -30,13 +30,6 @@ struct DaemonServer::TcpConnection {
   std::uint64_t last_active_ms = 0;
 };
 
-/// One whole-packet cache entry: the final reply wire for one exact query
-/// wire (post-truncation for UDP, so the key includes the protocol).
-struct PacketCacheEntry {
-  std::vector<std::uint8_t> wire;
-  std::uint64_t stored_ms = 0;
-};
-
 struct DaemonServer::Listener {
   std::size_t index;
   netio::EventLoop loop;
@@ -44,18 +37,19 @@ struct DaemonServer::Listener {
   int udp_fd = -1;
   int tcp_listen_fd = -1;
   std::vector<std::uint8_t> scratch;  // reply wire buffer, reused per query
-  // Per-listener (single-threaded, so lock-free) packet cache. The key is
-  // the query wire with the id bytes zeroed plus one protocol byte; the id
-  // is patched back in on a hit. key_scratch is reused so cache probes
-  // allocate nothing once its capacity settles.
-  std::unordered_map<std::string, PacketCacheEntry> packet_cache;
-  std::string key_scratch;
+  // Per-listener (single-threaded, so lock-free) packet cache, keyed by
+  // PacketCache::make_key; the id is patched back in on a hit. `key` is
+  // reused so cache probes allocate nothing once its capacity settles.
+  PacketCache packet_cache;
+  std::vector<std::uint8_t> key;
   std::unordered_map<int, TcpConnection> connections;
   bool draining = false;  // loop-thread state, set by the posted drain task
   std::thread thread;
 
-  Listener(std::size_t idx, std::size_t batch_size, std::size_t datagram_bytes)
-      : index(idx), batch(batch_size, datagram_bytes) {}
+  Listener(std::size_t idx, const DaemonServerConfig& config)
+      : index(idx),
+        batch(config.batch, config.max_datagram_bytes),
+        packet_cache(config.packet_cache_entries, config.packet_cache_ttl_ms) {}
 };
 
 DaemonServer::DaemonServer(DnsServer* handler, DaemonServerConfig config,
@@ -69,8 +63,7 @@ DaemonServer::DaemonServer(DnsServer* handler, DaemonServerConfig config,
 
   listeners_.reserve(config_.listeners);
   for (std::size_t i = 0; i < config_.listeners; ++i) {
-    auto listener =
-        std::make_unique<Listener>(i, config_.batch, config_.max_datagram_bytes);
+    auto listener = std::make_unique<Listener>(i, config_);
     std::uint16_t bound = 0;
     // Listener 0 resolves an ephemeral request; the rest join its port.
     listener->udp_fd = netio::open_udp_reuseport(
@@ -151,29 +144,22 @@ void DaemonServer::mirror_stats_to_registry() {
 }
 
 bool DaemonServer::answer_wire(Listener& listener, std::span<const std::uint8_t> wire,
-                               bool udp, bool during_drain,
+                               bool udp, bool during_drain, std::uint64_t now_ms,
                                std::vector<std::uint8_t>& out) {
   // Packet-cache probe: identical query bytes (id aside) get identical reply
   // bytes, so a hit is a memcpy plus a 2-byte id patch — the resolver, the
   // codec, and every per-query allocation are skipped entirely.
   const bool cacheable = config_.packet_cache_entries > 0 && wire.size() >= 12;
   if (cacheable) {
-    std::string& key = listener.key_scratch;
-    key.assign(reinterpret_cast<const char*>(wire.data()), wire.size());
-    key[0] = key[1] = '\0';  // the id must not split cache entries
-    key.push_back(udp ? '\1' : '\0');
-    const auto it = listener.packet_cache.find(key);
-    if (it != listener.packet_cache.end()) {
-      if (net::steady_now_ms() - it->second.stored_ms <=
-          config_.packet_cache_ttl_ms) {
-        out.assign(it->second.wire.begin(), it->second.wire.end());
-        out[0] = wire[0];
-        out[1] = wire[1];
-        stats_.pcache_hits.fetch_add(1, std::memory_order_relaxed);
-        if (during_drain) stats_.drained.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      listener.packet_cache.erase(it);
+    PacketCache::make_key(wire, udp, listener.key);
+    const auto hit = listener.packet_cache.find(listener.key, now_ms);
+    if (!hit.empty()) {
+      out.assign(hit.begin(), hit.end());
+      out[0] = wire[0];
+      out[1] = wire[1];
+      stats_.pcache_hits.fetch_add(1, std::memory_order_relaxed);
+      if (during_drain) stats_.drained.fetch_add(1, std::memory_order_relaxed);
+      return true;
     }
     stats_.pcache_misses.fetch_add(1, std::memory_order_relaxed);
   }
@@ -213,13 +199,7 @@ bool DaemonServer::answer_wire(Listener& listener, std::span<const std::uint8_t>
   // shedding) and other error rcodes must re-consult the resolver so that
   // transient failure never sticks for a TTL.
   if (cacheable && !handler_failed && reply.header.rcode == Rcode::kNoError) {
-    if (listener.packet_cache.size() >= config_.packet_cache_entries) {
-      // Generation flush: crude but O(1) amortized and strictly bounded.
-      listener.packet_cache.clear();
-    }
-    listener.packet_cache.emplace(
-        listener.key_scratch,
-        PacketCacheEntry{out, net::steady_now_ms()});
+    listener.packet_cache.store(listener.key, out, now_ms);
   }
   if (during_drain) stats_.drained.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -237,9 +217,12 @@ void DaemonServer::on_udp_ready(Listener& listener) {
 }
 
 void DaemonServer::process_datagrams(Listener& listener, std::size_t count) {
+  // One clock read per recvmmsg batch serves every packet-cache probe and
+  // store in it.
+  const std::uint64_t now_ms = net::steady_now_ms();
   for (std::size_t i = 0; i < count; ++i) {
     if (!answer_wire(listener, listener.batch.payload(i), /*udp=*/true,
-                     listener.draining, listener.scratch)) {
+                     listener.draining, now_ms, listener.scratch)) {
       continue;
     }
     stats_.udp_queries.fetch_add(1, std::memory_order_relaxed);
@@ -296,7 +279,7 @@ void DaemonServer::on_tcp_event(Listener& listener, int fd, std::uint32_t events
     }
   }
   if (ok) {
-    process_tcp_frames(listener, conn);
+    process_tcp_frames(listener, conn, conn.last_active_ms);
     ok = !conn.peer_closed || !conn.out.empty();  // keep only to finish writes
     if (!flush_tcp(listener, conn, fd)) ok = false;
   }
@@ -307,7 +290,8 @@ void DaemonServer::on_tcp_event(Listener& listener, int fd, std::uint32_t events
   if (listener.draining) finish_drain_if_quiet(listener);
 }
 
-void DaemonServer::process_tcp_frames(Listener& listener, TcpConnection& conn) {
+void DaemonServer::process_tcp_frames(Listener& listener, TcpConnection& conn,
+                                      std::uint64_t now_ms) {
   for (;;) {
     const std::size_t avail = conn.in.size() - conn.in_off;
     if (avail < 2) break;
@@ -318,7 +302,7 @@ void DaemonServer::process_tcp_frames(Listener& listener, TcpConnection& conn) {
     const std::span<const std::uint8_t> wire(conn.in.data() + conn.in_off + 2,
                                              frame_len);
     conn.in_off += 2 + frame_len;
-    if (!answer_wire(listener, wire, /*udp=*/false, listener.draining,
+    if (!answer_wire(listener, wire, /*udp=*/false, listener.draining, now_ms,
                      listener.scratch)) {
       // A garbage frame means the stream cannot be trusted to re-sync;
       // drop the connection, as for any framing violation.

@@ -59,7 +59,7 @@ struct DaemonServerConfig {
   /// Pin listener i to CPU i (mod online CPUs); best-effort.
   bool pin_threads = false;
   /// Whole-packet cache capacity per listener; 0 disables it. The cache
-  /// keys on the exact query wire (id zeroed), so a hit copies the cached
+  /// keys on the exact query wire (id aside), so a hit copies the cached
   /// reply and patches the id without touching the resolver — the standard
   /// front-end packet cache (cf. dnsdist). Only NOERROR answers are cached,
   /// so SERVFAIL shedding and error paths always re-consult the resolver.
@@ -132,7 +132,8 @@ class DaemonServer {
   void process_datagrams(Listener& listener, std::size_t count);
   void on_tcp_accept(Listener& listener);
   void on_tcp_event(Listener& listener, int fd, std::uint32_t events);
-  void process_tcp_frames(Listener& listener, TcpConnection& connection);
+  void process_tcp_frames(Listener& listener, TcpConnection& connection,
+                          std::uint64_t now_ms);
   bool flush_tcp(Listener& listener, TcpConnection& connection, int fd);
   void close_tcp(Listener& listener, int fd);
   void arm_idle_sweep(Listener& listener);
@@ -142,11 +143,12 @@ class DaemonServer {
 
   /// Decode + handle + encode for one wire query, writing the reply into
   /// `out` (cleared and reused — the hot path allocates nothing per query).
-  /// Consults/feeds the listener's packet cache. Returns false on
-  /// undecodable input (counted as malformed). Handler exceptions become
-  /// SERVFAIL.
+  /// Consults/feeds the listener's packet cache as of `now_ms`. Returns
+  /// false on undecodable input (counted as malformed). Handler exceptions
+  /// become SERVFAIL.
   bool answer_wire(Listener& listener, std::span<const std::uint8_t> wire,
-                   bool udp, bool during_drain, std::vector<std::uint8_t>& out);
+                   bool udp, bool during_drain, std::uint64_t now_ms,
+                   std::vector<std::uint8_t>& out);
 
   DnsServer* handler_;
   net::Ipv4Addr identity_;

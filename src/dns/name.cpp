@@ -321,6 +321,14 @@ std::string DnsName::canonical() const {
   return out;
 }
 
+std::string_view DnsName::canonical_into(std::span<char, kMaxWireLength> out) const {
+  if (is_root()) {
+    out[0] = '.';
+    return {out.data(), 1};
+  }
+  return {out.data(), write_canonical(wire(), out.data())};
+}
+
 std::size_t DnsName::hash() const noexcept {
   if (is_root()) return std::hash<std::string_view>{}(".");
   char text[kMaxWireLength];  // written front to back, read up to the length returned

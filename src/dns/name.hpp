@@ -270,6 +270,10 @@ class DnsName {
   /// Lowercased dotted form used as a canonical map key.
   [[nodiscard]] std::string canonical() const;
 
+  /// canonical() written into `out` instead of a new string; the view is
+  /// of `out`'s first bytes.
+  [[nodiscard]] std::string_view canonical_into(std::span<char, kMaxWireLength> out) const;
+
   /// Case-insensitive hash: equal to std::hash<std::string> of canonical(),
   /// computed without building the string.
   [[nodiscard]] std::size_t hash() const noexcept;

@@ -34,7 +34,7 @@ ShardedDnsCache::ShardedDnsCache(std::size_t shards, std::size_t max_entries) {
 
 ShardedDnsCache::~ShardedDnsCache() = default;
 
-std::size_t ShardedDnsCache::shard_index_of(const std::string& canonical) const {
+std::size_t ShardedDnsCache::shard_index_of(std::string_view canonical) const {
   // FNV-1a: deterministic across runs and platforms, unlike std::hash.
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : canonical) {
@@ -44,7 +44,7 @@ std::size_t ShardedDnsCache::shard_index_of(const std::string& canonical) const 
   return static_cast<std::size_t>(h % shards_.size());
 }
 
-ShardedDnsCache::Shard& ShardedDnsCache::shard_of(const std::string& canonical) const {
+ShardedDnsCache::Shard& ShardedDnsCache::shard_of(std::string_view canonical) const {
   return *shards_[shard_index_of(canonical)];
 }
 
@@ -54,8 +54,9 @@ std::optional<DnsCache::Entry> ShardedDnsCache::lookup(const DnsName& name,
   // Canonicalize exactly once at the serving boundary: the same lowercase
   // form picks the shard AND keys the shard's cache, so mixed-case queries
   // can never land in (or populate) a different shard than their lowercase
-  // twins.
-  const std::string canonical = name.canonical();
+  // twins. It is written on the stack: a hit builds no string.
+  char buffer[DnsName::kMaxWireLength];
+  const std::string_view canonical = name.canonical_into(buffer);
   Shard& shard = shard_of(canonical);
   std::lock_guard lock(shard.mutex);
   return shard.cache.lookup(canonical, client_subnet, now_ms);

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/cache.hpp"
@@ -38,6 +39,7 @@ class ShardedDnsCache {
     Rcode rcode = Rcode::kServFail;
     std::vector<net::Ipv4Addr> addresses;
     int scope_length = 0;
+    std::uint32_t ttl_seconds = 0;  ///< the upstream answer's minimum TTL
     bool usable = false;
   };
 
@@ -133,8 +135,8 @@ class ShardedDnsCache {
  private:
   struct Shard;
 
-  Shard& shard_of(const std::string& canonical) const;
-  std::size_t shard_index_of(const std::string& canonical) const;
+  Shard& shard_of(std::string_view canonical) const;
+  std::size_t shard_index_of(std::string_view canonical) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   obs::Registry* registry_ = nullptr;  // borrowed; optional telemetry mirror

@@ -146,8 +146,8 @@ class LpmCore {
 /// entries, matching std::map<IpPrefix> ordering.
 ///
 /// Values live in a slot vector (stable across erases; insertion may grow
-/// it), so pointers returned by find()/longest_match()/match_chain() stay
-/// valid until the next insert() or clear().
+/// it), so pointers returned by find()/longest_match() stay valid until the
+/// next insert() or clear().
 template <typename T>
 class IpLpmTrie {
  public:
@@ -208,22 +208,24 @@ class IpLpmTrie {
     return Match{prefix_of(addr.family(), *m), &*slots_[m->slot]};
   }
 
-  /// Every stored same-family prefix containing `addr` with length <=
-  /// max_length, longest first — the RFC 7871 candidate chain, so a caller
-  /// can skip dead (expired) entries and fall back to the next-most-specific
-  /// scope. `max_length` is bounded per family as for longest_match().
-  [[nodiscard]] std::vector<Match> match_chain(const IpAddr& addr, int max_length,
-                                               std::uint64_t* visited = nullptr) {
+  /// Calls `fn(prefix, value)` for every stored same-family prefix
+  /// containing `addr` with length <= max_length, longest first — the RFC
+  /// 7871 candidate chain, so a caller can skip dead (expired) entries and
+  /// fall back to the next-most-specific scope — until `fn` returns true.
+  /// The chain is collected into a member scratch vector before the first
+  /// call, so the walk allocates nothing once that vector has grown, and
+  /// `fn` may erase() entries of this trie (not insert, and not walk it
+  /// again). `max_length` is bounded per family as for longest_match().
+  template <typename Fn>
+  void visit_chain(const IpAddr& addr, int max_length, Fn&& fn,
+                   std::uint64_t* visited = nullptr) {
     check_length(addr.family(), max_length);
     chain_scratch_.clear();
     core_for(addr.family())
         .match_chain(key_of(addr), max_length, chain_scratch_, visited);
-    std::vector<Match> out;
-    out.reserve(chain_scratch_.size());
     for (const auto& m : chain_scratch_) {
-      out.push_back({prefix_of(addr.family(), m), &*slots_[m.slot]});
+      if (fn(prefix_of(addr.family(), m), *slots_[m.slot])) return;
     }
-    return out;
   }
 
   /// Visits (IpPrefix, T&) for every entry: v4 entries in canonical order,

@@ -211,6 +211,66 @@ TEST_F(ServingResolverFixture, ConcurrentIdenticalQueriesCoalesce) {
   EXPECT_GE(resolver.cache_stats().coalesce_leaders, 1u);
 }
 
+TEST_F(ServingResolverFixture, CacheHitsAnswerWithTheRemainingTtl) {
+  auth_ = std::make_unique<cdn::CdnAuthoritative>(provider_.get(), /*ttl_seconds=*/300);
+  network_.register_server(auth_addr_, auth_.get());
+  cdn::ServingConfig serving;
+  serving.enable_cache = true;
+  auto& resolver = make_resolver(serving);
+  const auto query = dns::Message::make_query(5, content_name(), net::Prefix(client_, 24));
+  // The one TTL every answer record carries at `now_ms`; 0 when the
+  // records disagree or there are none.
+  const auto ttl_at = [&](std::uint64_t now_ms) {
+    resolver.set_time_ms(now_ms);
+    const auto response = resolver.handle(query, client_);
+    std::uint32_t ttl = response.answers.empty() ? 0 : response.answers.front().ttl;
+    for (const auto& rr : response.answers) {
+      if (rr.ttl != ttl) ttl = 0;
+    }
+    return ttl;
+  };
+
+  EXPECT_EQ(ttl_at(0), 300u);  // the miss relays the authoritative's TTL
+  const auto upstream = resolver.upstream_queries();
+  EXPECT_EQ(ttl_at(100'000), 200u);
+  EXPECT_EQ(ttl_at(299'500), 1u);  // half a second left rounds up
+  EXPECT_EQ(resolver.upstream_queries(), upstream);
+  EXPECT_EQ(ttl_at(300'000), 300u);  // expired: fetched again
+  EXPECT_GT(resolver.upstream_queries(), upstream);
+}
+
+TEST_F(ServingResolverFixture, CoalescedFollowersAnswerWithTheLeadersTtl) {
+  auth_ = std::make_unique<cdn::CdnAuthoritative>(provider_.get(), /*ttl_seconds=*/300);
+  network_.register_server(auth_addr_, auth_.get());
+  cdn::ServingConfig serving;
+  serving.enable_cache = true;
+  serving.shards = 8;
+  serving.coalesce = true;
+  auto& resolver = make_resolver(serving, /*slow=*/true);
+  resolver.set_time_ms(0);
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong_ttl{0};
+  const auto query = dns::Message::make_query(78, content_name(), net::Prefix(client_, 24));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const auto response = resolver.handle(query, client_);
+      if (response.answers.empty()) wrong_ttl.fetch_add(1);
+      for (const auto& rr : response.answers) {
+        if (rr.ttl != 300) wrong_ttl.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong_ttl.load(), 0);
+  EXPECT_GE(resolver.cache_stats().coalesced, 1u);
+}
+
 TEST_F(ServingResolverFixture, ServingMetricsReachTheRegistry) {
   obs::Registry registry;
   cdn::ServingConfig serving;

@@ -8,7 +8,9 @@
 // allocates nothing, a training window's add() never allocates, and neither
 // does a decision among tied subnets. A CDN ranking a cold mapping key, the
 // routed delay it measures, and a query from unallocated space stay within
-// a few allocations.
+// a few allocations. On the serving path, a scoped resolver-cache hit
+// (decode, answer, encode) allocates only what it sends and copies out, and
+// a warm packet cache stores, probes and flushes without allocating.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +27,9 @@
 
 #include "core/decision.hpp"
 #include "core/window.hpp"
+#include "cdn/resolver.hpp"
 #include "dns/message.hpp"
+#include "dns/packet_cache.hpp"
 #include "measure/testbed.hpp"
 #include "measure/trial.hpp"
 
@@ -443,6 +447,88 @@ TEST(AllocBudgetTest, TrainingWindowAddDoesNotAllocate) {
     EXPECT_EQ(window.size(), capacity);
     EXPECT_DOUBLE_EQ(window.ratios().back(), 0.5 + 0.01 * 39);
   }
+}
+
+TEST(AllocBudgetTest, ScopedCacheHitStaysWithinBudget) {
+  // The daemon's miss path on a warm resolver: decode the datagram, answer
+  // from the scoped cache, encode into the listener's reused buffer.
+  measure::TestbedConfig config = small_testbed();
+  config.serving.enable_cache = true;
+  config.serving.shards = 8;
+  config.serving.coalesce = true;
+  measure::Testbed testbed(config);
+  cdn::PublicResolver& resolver = testbed.resolver();
+  resolver.set_time_ms(0);
+  const net::Ipv4Addr client = testbed.clients()[0];
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::size_t p = 0; p < testbed.provider_count(); ++p) {
+    for (const auto& name : testbed.content_names(p)) {
+      for (const std::uint32_t octet : {0u, 1u, 2u}) {
+        const net::Prefix subnet(net::Ipv4Addr(client.to_uint() + (octet << 8)), 24);
+        wires.push_back(dns::Message::make_query(9, name, net::IpPrefix(subnet)).encode());
+      }
+    }
+  }
+  std::vector<std::uint8_t> out;
+  for (const auto& wire : wires) {  // fill the scopes, then warm the buffer
+    (void)resolver.handle(dns::Message::decode(wire), client);
+    resolver.handle(dns::Message::decode(wire), client).encode_to(out);
+  }
+  const auto upstream = resolver.upstream_queries();
+  // Pinned from the measured count: the answer section sent, and the
+  // cached entry's address list copied out of the shard under its lock.
+  constexpr std::uint64_t kHitBudget = 2;
+  std::uint64_t worst = 0;
+  std::uint64_t total = 0;
+  for (const auto& wire : wires) {
+    const std::uint64_t n = allocations_in([&] {
+      resolver.handle(dns::Message::decode(wire), client).encode_to(out);
+    });
+    worst = std::max(worst, n);
+    total += n;
+  }
+  EXPECT_EQ(resolver.upstream_queries(), upstream) << "every query must hit";
+  EXPECT_LE(worst, kHitBudget);
+  std::cout << "allocations: scoped cache hit " << static_cast<double>(total) / wires.size()
+            << " mean, " << worst << " worst (" << wires.size() << " queries)\n";
+}
+
+TEST(AllocBudgetTest, WarmPacketCacheAllocatesNothing) {
+  constexpr std::size_t kCapacity = 256;
+  dns::PacketCache cache(kCapacity, 1'000);
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::size_t i = 0; i < 2 * kCapacity; ++i) {
+    std::vector<std::uint8_t> wire(40 + i % 20, static_cast<std::uint8_t>(i));
+    wire[12] = static_cast<std::uint8_t>(i >> 8);
+    wires.push_back(std::move(wire));
+  }
+  const std::vector<std::uint8_t> reply(180, 3);
+  std::vector<std::uint8_t> key;
+  for (std::size_t i = 0; i < kCapacity; ++i) {  // one full generation
+    dns::PacketCache::make_key(wires[i], true, key);
+    cache.store(key, reply, 0);
+  }
+  // The arena is a mapping of its own, which operator new does not see:
+  // its capacity must hold still too.
+  const std::size_t arena = cache.arena_capacity();
+  std::size_t hits = 0;
+  const std::uint64_t n = allocations_in([&] {
+    // The next generation: its first store flushes, then every probe of it
+    // hits and every probe of the last one misses; then an explicit flush.
+    for (std::size_t i = kCapacity; i < 2 * kCapacity; ++i) {
+      dns::PacketCache::make_key(wires[i], true, key);
+      cache.store(key, reply, 1);
+    }
+    for (std::size_t i = 0; i < 2 * kCapacity; ++i) {
+      dns::PacketCache::make_key(wires[i], true, key);
+      if (!cache.find(key, 2).empty()) ++hits;
+    }
+    cache.flush();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(cache.arena_capacity(), arena);
+  EXPECT_EQ(hits, kCapacity);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

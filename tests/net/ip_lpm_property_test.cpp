@@ -27,6 +27,17 @@ namespace {
 
 constexpr std::uint64_t kDefaultSeed = 20260809;
 
+/// The trie's candidate chain for `addr`, collected through visit_chain().
+std::vector<IpLpmTrie<int>::Match> chain_of(IpLpmTrie<int>& trie, const IpAddr& addr,
+                                            int max_length) {
+  std::vector<IpLpmTrie<int>::Match> out;
+  trie.visit_chain(addr, max_length, [&](const IpPrefix& prefix, int& value) {
+    out.push_back({prefix, &value});
+    return false;
+  });
+  return out;
+}
+
 std::uint64_t corpus_seed() {
   // drongo-lint: allow(nondeterminism) — test-only replay knob, corpus is
   // fixed unless explicitly overridden.
@@ -219,7 +230,7 @@ TEST(IpLpmPropertyTest, TrieMatchesNaiveModelAcrossFamilies) {
           ASSERT_EQ(*got->value, expect->second);
         }
         const auto expect_chain = naive.match_chain(addr, max_len);
-        const auto got_chain = trie.match_chain(addr, max_len);
+        const auto got_chain = chain_of(trie, addr, max_len);
         ASSERT_EQ(got_chain.size(), expect_chain.size())
             << "match_chain diverged on " << addr.to_string() << "/<=" << max_len
             << " (seed=" << seed << " round=" << round << " step=" << step << ")";
@@ -292,7 +303,7 @@ TEST(IpLpmPropertyTest, V6HostRoutesAndDeepPrefixesCoexist) {
   const auto at_64 = trie.longest_match(IpAddr(host), 64);
   ASSERT_TRUE(at_64.has_value());
   EXPECT_EQ(*at_64->value, 2);
-  const auto chain = trie.match_chain(IpAddr(host), 128);
+  const auto chain = chain_of(trie, IpAddr(host), 128);
   ASSERT_EQ(chain.size(), 4u);
   EXPECT_EQ(chain.front().prefix.length(), 128);
   EXPECT_EQ(chain.back().prefix.length(), 0);
